@@ -1,0 +1,6 @@
+"""The repository benchmark: offline search and durable serving workloads.
+
+Run one workload with ``python3 perfbench/run.py --workload <name>
+--seed <n> --seconds <s> --trace <0|1>`` from the repository root; see
+``perfbench/README.md`` for the workloads and the metric definitions.
+"""
