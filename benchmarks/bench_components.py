@@ -17,6 +17,7 @@ from repro.heuristics import critical_path_mapping, greedy_cpu, greedy_mem, loca
 from repro.platform import CellPlatform
 from repro.simulator import FlowNetwork, SimConfig, simulate
 from repro.steady_state import DeltaAnalyzer, analyze, build_schedule
+from repro.steady_state.reference import _local_search_full
 
 
 @pytest.fixture(scope="module")
@@ -67,11 +68,7 @@ def test_heuristics(benchmark, graph, platform, heuristic):
 def test_local_search_full_analyze(benchmark, mapping):
     """Seed evaluation path: a full O(V+E) analyze() per candidate."""
     refined = benchmark.pedantic(
-        local_search,
-        args=(mapping,),
-        kwargs={"max_rounds": 2, "use_delta": False},
-        rounds=3,
-        iterations=1,
+        _local_search_full, args=(mapping, 2, True), rounds=3, iterations=1
     )
     assert analyze(refined).feasible
 
@@ -82,7 +79,7 @@ def test_local_search_delta(benchmark, mapping):
     refined = benchmark.pedantic(
         local_search,
         args=(mapping,),
-        kwargs={"max_rounds": 2, "use_delta": True},
+        kwargs={"max_rounds": 2},
         rounds=3,
         iterations=1,
     )
@@ -100,20 +97,26 @@ def test_local_search_delta_speedup(mapping):
     margin over the 10x threshold is not worth intermittent CI red.
     """
 
-    def best_of(n, use_delta):
+    def delta(rounds):
+        return local_search(mapping, max_rounds=rounds)
+
+    def full(rounds):
+        return _local_search_full(mapping, rounds, True)
+
+    def best_of(n, search):
         times, results = [], []
         for _ in range(n):
             start = time.perf_counter()
-            results.append(local_search(mapping, max_rounds=2, use_delta=use_delta))
+            results.append(search(2))
             times.append(time.perf_counter() - start)
         return min(times), results[-1]
 
     # Warm both paths once (memoized buffer_requirements, allocators).
-    local_search(mapping, max_rounds=1, use_delta=True)
-    local_search(mapping, max_rounds=1, use_delta=False)
+    delta(1)
+    full(1)
 
-    t_delta, fast = best_of(3, use_delta=True)
-    t_full, slow = best_of(3, use_delta=False)
+    t_delta, fast = best_of(3, delta)
+    t_full, slow = best_of(3, full)
 
     # Equal-or-better period, with ulp headroom: on a near-tie the delta
     # and full paths may pick different (equally good) moves.

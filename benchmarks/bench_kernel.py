@@ -16,14 +16,14 @@ the two claims down on the paper's 50-task benchmark graph:
   equivalent per-candidate ``score_move`` loop — the acceptance bar of
   the compiled-kernel PR (the measured ratio has headroom above it; see
   ``benchmarks/profile_delta.py`` to see where the time goes);
-* ``test_vectorized_speedup_guard`` **fails** if the numpy backend's
+* ``test_vectorized_speedup_guard`` **fails** if numpy's dense
   whole-neighbourhood ``score_move_matrix`` pass is less than 5× faster
   than the scalar batched sweep — the acceptance bar of the vectorized
-  kernel-backend PR;
+  kernel PR;
 * ``test_native_md_scoring_speedup_guard`` /
   ``test_native_apply_speedup_guard`` **fail** if the compiled
-  extension (``backend="cython"``) is less than 2× faster than the best
-  existing backend on mapping-dependent-mode neighbourhood scoring, or
+  extension (the ``cython`` engine) is less than 2× faster than the best
+  engine without it on mapping-dependent-mode neighbourhood scoring, or
   less than 1.5× faster on the apply/resync commit path — the
   acceptance bars of the compiled-extension PR;
 * ``test_instrumentation_overhead_guard`` **fails** if the metrics
@@ -34,9 +34,10 @@ the two claims down on the paper's 50-task benchmark graph:
   the correctness cross-check) under ``REPRO_BENCH_NO_TIMING_ASSERT=1``;
   nightly CI runs them with the assertion armed.
 
-The batch-API benches parametrize over ``available_backends()``, so a
-build with the compiled extension reports ``[cython]`` timings next to
-``[python]`` / ``[numpy]`` without any list to keep in sync.
+The batch-API benches parametrize over the engine labels: ``[python]``
+(``REPRO_KERNEL_BACKEND=python``), ``[numpy]`` (``auto`` with
+``REPRO_NO_EXTENSION=1``) and, when the extension is built,
+``[cython]`` (``auto``) — the ids ``BENCH_baseline.json`` records.
 
 Run explicitly (benchmarks are not collected by the default test run)::
 
@@ -59,19 +60,30 @@ from repro.generator import random_graph_1
 from repro.heuristics import greedy_cpu
 from repro.platform import CellPlatform
 from repro.steady_state import (
+    NO_EXTENSION_ENV_VAR,
     DeltaAnalyzer,
-    available_backends,
     cython_available,
     make_objective,
-    numpy_available,
 )
 
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy backend unavailable"
-)
 needs_cython = pytest.mark.skipif(
     not cython_available(), reason="compiled extension not built"
 )
+
+#: Engine labels benchmarked side by side (the extension's when built).
+ENGINES = ("python", "numpy") + (("cython",) if cython_available() else ())
+
+
+def _analyzer(mapping, label, **kwargs):
+    """An analyzer on the engine ``label`` names; ``numpy`` is the fast
+    engine with the extension hidden (``REPRO_NO_EXTENSION=1``)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if label == "numpy":
+            mp.setenv(NO_EXTENSION_ENV_VAR, "1")
+        backend = "python" if label == "python" else "auto"
+        state = DeltaAnalyzer(mapping, backend=backend, **kwargs)
+    assert state.backend == label
+    return state
 
 
 def _time_best_of(fn, repeats=10):
@@ -198,12 +210,12 @@ def test_batched_speedup_guard(graph, platform, mapping):
 
 
 # ---------------------------------------------------------------------- #
-# Batch APIs under every available backend (python / numpy / cython)
+# Batch APIs on every engine (python / numpy / cython)
 
 
-@pytest.fixture(scope="module", params=available_backends())
+@pytest.fixture(scope="module", params=ENGINES)
 def backend_state(request, mapping):
-    return DeltaAnalyzer(mapping, backend=request.param)
+    return _analyzer(mapping, request.param)
 
 
 @pytest.mark.benchmark(group="kernel-backend")
@@ -255,17 +267,16 @@ def test_best_move_scan_backend(benchmark, graph, backend_state):
     benchmark(backend_state.best_move, objective=obj)
 
 
-@needs_numpy
 def test_vectorized_speedup_guard(graph, platform, mapping):
     """The numpy whole-neighbourhood pass must beat the scalar batched
     sweep by ≥5× on the 50-task benchmark graph — the acceptance bar of
-    the vectorized kernel-backend PR.
+    the vectorized kernel PR.
 
     Cross-checks entry-for-entry agreement first, so the speed-up is not
     bought with a different answer.
     """
-    scalar = DeltaAnalyzer(mapping, backend="python")
-    vector = DeltaAnalyzer(mapping, backend="numpy")
+    scalar = _analyzer(mapping, "python")
+    vector = _analyzer(mapping, "numpy")
     names = graph.task_names()
     n_pes = platform.n_pes
 
@@ -302,9 +313,8 @@ def test_vectorized_speedup_guard(graph, platform, mapping):
 # Compiled extension (cython backend) guards
 
 
-def _existing_backends():
-    """Backends predating the compiled extension (its speed baselines)."""
-    return [b for b in available_backends() if b != "cython"]
+#: Engines without the compiled extension (its speed baselines).
+BASELINE_ENGINES = ("python", "numpy")
 
 
 @needs_cython
@@ -313,7 +323,7 @@ def test_native_md_scoring_speedup_guard(graph, mapping):
     the mapping-dependent buffer modes ≥2× faster than the best existing
     backend — the acceptance bar of the compiled-extension PR.
 
-    The mapping-dependent modes are where the python/numpy backends fall
+    The mapping-dependent modes are where the python/numpy engines fall
     back to the scalar incremental worklist, so this is the path the
     extension was built for.  Cross-checks verdict-for-verdict agreement
     first, so the speed-up is not bought with a different answer.
@@ -321,10 +331,9 @@ def test_native_md_scoring_speedup_guard(graph, mapping):
     names = graph.task_names()
     for elide, merge in [(True, False), (False, True), (True, True)]:
         kwargs = dict(elide_local_comm=elide, merge_same_pe_buffers=merge)
-        native = DeltaAnalyzer(mapping, backend="cython", **kwargs)
+        native = _analyzer(mapping, "cython", **kwargs)
         baselines = {
-            b: DeltaAnalyzer(mapping, backend=b, **kwargs)
-            for b in _existing_backends()
+            b: _analyzer(mapping, b, **kwargs) for b in BASELINE_ENGINES
         }
         for name in names:
             expected = baselines["python"].score_moves(name)
@@ -372,17 +381,16 @@ def test_native_apply_speedup_guard(graph, platform, mapping):
         for _ in range(2000)
     ]
 
-    def fresh(backend):
-        return DeltaAnalyzer(mapping, backend=backend)
+    def fresh(label):
+        return _analyzer(mapping, label)
 
     reference = _apply_chain(fresh("python"), moves)
     assert _apply_chain(fresh("cython"), moves) == reference
-    if numpy_available():
-        assert _apply_chain(fresh("numpy"), moves) == reference
+    assert _apply_chain(fresh("numpy"), moves) == reference
 
     best_existing = min(
         _time_best_of(lambda b=b: _apply_chain(fresh(b), moves), repeats=5)
-        for b in _existing_backends()
+        for b in BASELINE_ENGINES
     )
     native_time = _time_best_of(
         lambda: _apply_chain(fresh("cython"), moves), repeats=5

@@ -3,8 +3,9 @@
 The :class:`~repro.runtime.scheduler.OnlineScheduler` promises that
 per-candidate work (placing an arriving task, scoring a remapping move)
 is delta-scored in O(deg) — never a full ``analyze()`` per candidate.
-``use_delta=False`` swaps in the full-``analyze()`` reference evaluator,
-so replaying the *same* seeded scenario through both paths isolates
+Substituting the full-``analyze()`` oracle
+(:class:`repro.steady_state.reference._ReferenceState`) for the delta
+engine and replaying the *same* seeded scenario through both isolates
 exactly that contract:
 
 * ``test_online_delta_speedup_guard`` replays a 20-event scenario
@@ -30,13 +31,14 @@ Run explicitly (benchmarks are not collected by the default test run)::
 """
 
 import time
-from dataclasses import replace
 
 import pytest
 
 from repro.obs import metrics
 from repro.platform import CellPlatform
 from repro.runtime import FaultInjector, OnlineScheduler, ScenarioGenerator
+from repro.runtime import scheduler as scheduler_mod
+from repro.steady_state.reference import _ReferenceState
 
 
 @pytest.fixture(scope="module")
@@ -59,20 +61,14 @@ def make_faulty_events(platform, n_events=20):
     return injector.inject(base, n_bursts=3, n_perturbations=1)
 
 
-def play(platform, events, use_delta, **knobs):
-    scheduler = OnlineScheduler(
-        platform, migration_budget=3, use_delta=use_delta, **knobs
-    )
-    return scheduler.run(events)
-
-
-def same_decisions(a, b):
-    """Report equality modulo the evaluation-engine tag.
-
-    The delta path records the resolved kernel backend while the
-    ``use_delta=False`` path records ``"reference"`` — the guards
-    compare the *decisions*, so the tag is normalized away."""
-    return replace(a, kernel_backend="") == replace(b, kernel_backend="")
+def play(platform, events, delta, **knobs):
+    """Replay ``events`` on the delta engine, or with ``delta=False`` on
+    the full-analyze() oracle substituted for it."""
+    with pytest.MonkeyPatch.context() as mp:
+        if not delta:
+            mp.setattr(scheduler_mod, "DeltaAnalyzer", _ReferenceState)
+        scheduler = OnlineScheduler(platform, migration_budget=3, **knobs)
+        return scheduler.run(events)
 
 
 @pytest.mark.benchmark(group="online")
@@ -107,9 +103,7 @@ def test_online_delta_speedup_guard(platform):
     delta_time = time_best_of(lambda: play(platform, events, True))
     full_time = time_best_of(lambda: play(platform, events, False))
     # Same decisions, so the ratio is pure evaluation cost.
-    assert same_decisions(
-        play(platform, events, True), play(platform, events, False)
-    )
+    assert play(platform, events, True) == play(platform, events, False)
     speedup = full_time / delta_time
     assert speedup >= 5.0, (
         f"online scheduling via the delta engine is only {speedup:.1f}x "
@@ -137,9 +131,8 @@ def test_online_delta_speedup_guard_faulty(platform):
 
     delta_time = time_best_of(lambda: play(platform, events, True, **knobs))
     full_time = time_best_of(lambda: play(platform, events, False, **knobs))
-    assert same_decisions(
-        play(platform, events, True, **knobs),
-        play(platform, events, False, **knobs),
+    assert play(platform, events, True, **knobs) == play(
+        platform, events, False, **knobs
     )
     speedup = full_time / delta_time
     assert speedup >= 5.0, (

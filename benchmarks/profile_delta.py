@@ -16,9 +16,10 @@ functions by cumulative time:
     An apply-heavy random walk (the simulated-annealing profile),
     including the mapping-dependent buffer models.
 
-``--backend`` pins the kernel backend (any name in
-``available_backends()``, or ``auto``), so the same workload can be
-profiled against the python, numpy, and compiled-extension paths.
+``--backend`` picks the kernel (``python`` or ``auto``), so the same
+workload can be profiled on the scalar kernel and on the fast engine;
+run the ``auto`` profile under ``REPRO_NO_EXTENSION=1`` to see the
+fast engine without the compiled extension.
 ``--trace`` additionally records the kernel spans of the profiled run
 as a Chrome trace-event file (Perfetto / ``chrome://tracing``) — the
 same instrumentation the online sweep's ``--trace`` flag uses, here as
@@ -29,7 +30,7 @@ Usage (see the README "Performance architecture" section)::
     PYTHONPATH=src python benchmarks/profile_delta.py
     PYTHONPATH=src python benchmarks/profile_delta.py --mode scalar --rounds 50
     PYTHONPATH=src python benchmarks/profile_delta.py --mode apply --sort tottime
-    PYTHONPATH=src python benchmarks/profile_delta.py --backend cython
+    PYTHONPATH=src python benchmarks/profile_delta.py --backend python
     PYTHONPATH=src python benchmarks/profile_delta.py --trace delta.trace.json
 """
 
@@ -45,7 +46,7 @@ from repro.generator import random_graph_1
 from repro.heuristics import greedy_cpu
 from repro.obs import tracing
 from repro.platform import CellPlatform
-from repro.steady_state import DeltaAnalyzer, available_backends
+from repro.steady_state import KERNEL_BACKENDS, DeltaAnalyzer
 
 
 def _state(backend: str, apply_modes: bool = False) -> DeltaAnalyzer:
@@ -123,9 +124,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--backend",
-        choices=(*available_backends(), "auto"),
+        choices=KERNEL_BACKENDS,
         default="auto",
-        help="kernel backend to profile (default: auto-detected best)",
+        help="kernel to profile (default: auto, the fast engine)",
     )
     parser.add_argument(
         "--trace", default=None, metavar="FILE",

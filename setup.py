@@ -48,9 +48,9 @@ class optional_build_ext(build_ext):
     def _skip(self, exc):
         print(
             "\n*** Building the compiled kernel extension failed "
-            f"({exc!r}).\n*** Installing pure-python: the 'cython' "
-            "kernel backend will be unavailable;\n*** the scalar and "
-            "numpy backends are unaffected.\n"
+            f"({exc!r}).\n*** Installing pure-python: the 'auto' kernel "
+            "runs on numpy's dense kernels alone;\n*** results are "
+            "unaffected.\n"
         )
 
 

@@ -59,11 +59,12 @@ class ObjectiveError(ReproError):
 
 
 class KernelBackendError(ReproError):
-    """Unknown or unavailable delta-kernel backend.
+    """Invalid delta-kernel selection.
 
-    Raised when ``REPRO_KERNEL_BACKEND`` (or an explicit ``backend=``
-    argument) names a backend the library does not know, or requests
-    ``numpy`` in an environment where numpy cannot be imported."""
+    Raised when ``REPRO_KERNEL_BACKEND`` (or the ``backend`` argument of
+    ``DeltaAnalyzer``) is not ``python`` or ``auto``: an unknown
+    name, a non-string, or one of the resolved labels ``numpy`` /
+    ``cython``."""
 
 
 class InfeasibleMappingError(MappingError):

@@ -17,16 +17,16 @@ approach the optimal throughput"; these are our take on that future work:
 All full-neighbourhood scans (``local_search`` moves and swaps, every
 ``tabu_search`` round, :func:`budgeted_descent`) go through the delta
 engine's **whole-neighbourhood** batch API — ``evaluate_all_moves`` /
-``evaluate_swaps`` / ``best_move`` — so under the numpy kernel backend
+``evaluate_swaps`` / ``best_move`` — so in the default buffer model
 each round is a handful of dense matrix passes instead of a Python loop
 over candidates; the GA scores random immigrants and whole generations
 through the population-level ``score_assignments`` /
 ``evaluate_assignments`` pass the same way.  ``simulated_annealing``
 proposes one random candidate at a time, so its ``evaluate_move`` calls
-hit the scalar kernel with a single-target sweep.  Every entry point
-accepts ``backend`` (``"python"`` | ``"numpy"`` | ``None`` for
-auto-detection, see :func:`repro.steady_state.resolve_backend`) and
-returns the same mapping under either backend.
+hit the scalar kernel with a single-target sweep.  The kernel is picked
+per process (``REPRO_KERNEL_BACKEND``, see
+:mod:`repro.steady_state.backend`); every strategy returns the same
+mapping on every kernel.
 * :func:`genetic_algorithm` — population search over feasible mappings:
   PE-assignment crossover and delta-scored mutation on *cloned*
   :class:`DeltaAnalyzer` states, so offspring are evaluated incrementally
@@ -62,7 +62,7 @@ from ..steady_state.delta import ClonePool, DeltaAnalyzer
 from ..steady_state.mapping import Mapping
 from ..steady_state.objective import make_objective
 from ..steady_state.periods import buffer_requirements
-from ..steady_state.throughput import PeriodAnalysis, analyze
+from ..steady_state.throughput import analyze
 from .greedy import greedy_cpu, greedy_mem
 
 __all__ = [
@@ -194,20 +194,13 @@ def critical_path_mapping(graph: StreamGraph, platform: CellPlatform) -> Mapping
     return Mapping(graph, platform, assignment)
 
 
-def _analysis_value(objective, analysis: PeriodAnalysis) -> float:
-    """Objective value of a full ``analyze()`` result (reference path)."""
-    return objective.value(analysis.period, analysis.app_periods)
-
-
 def local_search(
     mapping: Mapping,
     max_rounds: int = 50,
     try_swaps: bool = True,
-    use_delta: bool = True,
     elide_local_comm: bool = False,
     merge_same_pe_buffers: bool = False,
     objective: str = "period",
-    backend: Optional[str] = None,
 ) -> Mapping:
     """Steepest-descent refinement of ``mapping`` under ``objective``.
 
@@ -215,33 +208,20 @@ def local_search(
     task-pair swap) and applies the best strictly-improving *feasible* one;
     stops at a local optimum or after ``max_rounds``.
 
-    With ``use_delta=True`` (default) candidates are scored incrementally
-    by :class:`DeltaAnalyzer` in O(deg(task)) each; ``use_delta=False``
-    keeps the original full-``analyze`` evaluation (O(V+E) per candidate)
-    as a reference implementation for tests and benchmarks.  Both paths
-    visit candidates in the same order; their scores agree exactly for
-    integer-valued costs and to within one ulp otherwise (see delta.py),
-    so the returned mappings match unless two candidates tie that
-    tightly — in which case the resulting periods are equal to ulps.
+    Candidates are scored incrementally by :class:`DeltaAnalyzer` in
+    O(deg(task)) each; their scores agree with a full ``analyze()`` of
+    the candidate exactly for integer-valued costs and to within one
+    ulp otherwise (see delta.py).
 
-    ``elide_local_comm`` / ``merge_same_pe_buffers`` switch both paths to
-    the corresponding mapping-dependent buffer model; ``objective``
-    switches the ranking on workload composites (see the module
-    docstring); ``backend`` selects the delta engine's kernel backend
-    (the result is backend-independent).
+    ``elide_local_comm`` / ``merge_same_pe_buffers`` switch to the
+    corresponding mapping-dependent buffer model; ``objective`` switches
+    the ranking on workload composites (see the module docstring).
     """
     obj = make_objective(objective, mapping.graph)
-    if not use_delta:
-        return _local_search_full(
-            mapping, max_rounds, try_swaps,
-            elide_local_comm, merge_same_pe_buffers, obj,
-        )
-
     state = DeltaAnalyzer(
         mapping,
         elide_local_comm=elide_local_comm,
         merge_same_pe_buffers=merge_same_pe_buffers,
-        backend=backend,
     )
     current_value = state.evaluate(obj).value if state.feasible else float("inf")
     platform = mapping.platform
@@ -254,8 +234,8 @@ def local_search(
             best_value = current_value
             # One dense pass over the whole move neighbourhood (every
             # task × every PE): a single masked cost-matrix kernel call
-            # under the numpy backend, per-task batched sweeps under
-            # the scalar one.
+            # on the fast engine, per-task batched sweeps on the scalar
+            # one.
             all_scores = state.evaluate_all_moves(objective=obj)
             for i, name in enumerate(names):
                 origin = state.pe_of(name)
@@ -295,64 +275,6 @@ def local_search(
                 state.evaluate(obj).value if state.feasible else float("inf")
             )
     return state.mapping()
-
-
-def _local_search_full(
-    mapping: Mapping,
-    max_rounds: int,
-    try_swaps: bool,
-    elide_local_comm: bool = False,
-    merge_same_pe_buffers: bool = False,
-    obj=None,
-) -> Mapping:
-    """Reference steepest descent: full ``analyze`` per candidate (seed code)."""
-    if obj is None:
-        obj = make_objective("period", mapping.graph)
-    flags = dict(
-        elide_local_comm=elide_local_comm,
-        merge_same_pe_buffers=merge_same_pe_buffers,
-    )
-    current = mapping
-    current_analysis = analyze(current, **flags)
-    current_value = (
-        _analysis_value(obj, current_analysis)
-        if current_analysis.feasible
-        else float("inf")
-    )
-    platform = mapping.platform
-    names = mapping.graph.task_names()
-
-    for _ in range(max_rounds):
-        best_candidate = None
-        best_value = current_value
-        for name in names:
-            origin = current.pe_of(name)
-            for pe in range(platform.n_pes):
-                if pe == origin:
-                    continue
-                candidate = current.with_assignment(name, pe)
-                analysis = analyze(candidate, **flags)
-                value = _analysis_value(obj, analysis)
-                if analysis.feasible and value < best_value:
-                    best_candidate, best_value = candidate, value
-        if try_swaps:
-            for a_idx in range(len(names)):
-                for b_idx in range(a_idx + 1, len(names)):
-                    a, b = names[a_idx], names[b_idx]
-                    pe_a, pe_b = current.pe_of(a), current.pe_of(b)
-                    if pe_a == pe_b:
-                        continue
-                    candidate = current.with_assignment(
-                        a, pe_b
-                    ).with_assignment(b, pe_a)
-                    analysis = analyze(candidate, **flags)
-                    value = _analysis_value(obj, analysis)
-                    if analysis.feasible and value < best_value:
-                        best_candidate, best_value = candidate, value
-        if best_candidate is None:
-            break
-        current, current_value = best_candidate, best_value
-    return current
 
 
 def budgeted_descent(
@@ -439,7 +361,6 @@ def simulated_annealing(
     elide_local_comm: bool = False,
     merge_same_pe_buffers: bool = False,
     objective: str = "period",
-    backend: Optional[str] = None,
 ) -> Mapping:
     """Metropolis search over feasible mappings under ``objective``.
 
@@ -463,7 +384,6 @@ def simulated_annealing(
         start,
         elide_local_comm=elide_local_comm,
         merge_same_pe_buffers=merge_same_pe_buffers,
-        backend=backend,
     )
     names = graph.task_names()
     n_pes = platform.n_pes
@@ -537,7 +457,6 @@ def tabu_search(
     elide_local_comm: bool = False,
     merge_same_pe_buffers: bool = False,
     objective: str = "period",
-    backend: Optional[str] = None,
 ) -> Mapping:
     """Tabu search over single-task moves under ``objective``.
 
@@ -560,7 +479,6 @@ def tabu_search(
         start,
         elide_local_comm=elide_local_comm,
         merge_same_pe_buffers=merge_same_pe_buffers,
-        backend=backend,
     )
     names = graph.task_names()
     n_pes = platform.n_pes
@@ -627,7 +545,6 @@ def genetic_algorithm(
     elide_local_comm: bool = False,
     merge_same_pe_buffers: bool = False,
     objective: str = "period",
-    backend: Optional[str] = None,
 ) -> Mapping:
     """Population search over *feasible* mappings under ``objective``.
 
@@ -648,7 +565,7 @@ def genetic_algorithm(
     Random-immigrant seeding and each generation's fitness ranking go
     through the population-level ``score_assignments`` /
     ``evaluate_assignments`` batch (one dense pass over K candidate
-    mappings under the numpy kernel backend, selected by ``backend``);
+    mappings in the default buffer model);
     a per-generation cache keeps the tournament/sort lookups O(1).
 
     The population is seeded with the feasible members of {``start`` (or
@@ -666,7 +583,6 @@ def genetic_algorithm(
         elide_local_comm=elide_local_comm,
         merge_same_pe_buffers=merge_same_pe_buffers,
     )
-    dflags = dict(flags, backend=backend)
     start = _feasible_start(
         graph, platform, start, elide_local_comm, merge_same_pe_buffers
     )
@@ -680,7 +596,7 @@ def genetic_algorithm(
     )
     n_elite = max(1, min(elite, pop_size - 1))
 
-    population: List[DeltaAnalyzer] = [DeltaAnalyzer(start, **dflags)]
+    population: List[DeltaAnalyzer] = [DeltaAnalyzer(start, **flags)]
     # All population-batch scoring runs against this never-mutated state;
     # the change sets always cover every task, so its own assignment is
     # irrelevant to the scores.
@@ -689,7 +605,7 @@ def genetic_algorithm(
         if len(population) >= pop_size:
             break
         try:
-            candidate = DeltaAnalyzer(builder(graph, platform), **dflags)
+            candidate = DeltaAnalyzer(builder(graph, platform), **flags)
         except MappingError:
             continue
         if candidate.feasible:
@@ -710,7 +626,7 @@ def genetic_algorithm(
         for assignment, verdict in zip(draws, scorer.score_assignments(draws)):
             if verdict.feasible:
                 population.append(
-                    DeltaAnalyzer(Mapping(graph, platform, assignment), **dflags)
+                    DeltaAnalyzer(Mapping(graph, platform, assignment), **flags)
                 )
 
     # Retired generations are recycled through in-place state copies

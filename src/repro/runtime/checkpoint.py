@@ -114,16 +114,12 @@ def read_checkpoint(path: Union[str, Path]) -> Dict:
     return payload
 
 
-def scheduler_from_config(
-    config: Dict,
-    use_delta: bool = True,
-    backend: Optional[str] = None,
-) -> OnlineScheduler:
+def scheduler_from_config(config: Dict) -> OnlineScheduler:
     """A fresh scheduler from a :meth:`OnlineScheduler.config` echo.
 
-    ``use_delta``/``backend`` pick the evaluation engine — they are not
-    part of the config echo because they never influence a decision
-    (backend interchangeability), so recovery may run on any engine.
+    The kernel is not part of the echo because it never influences a
+    decision (kernel interchangeability), so recovery may run on any
+    kernel.
     """
     try:
         platform = CellPlatform(**config["platform"])
@@ -133,8 +129,6 @@ def scheduler_from_config(
             migration_budget=int(config["migration_budget"]),
             elide_local_comm=bool(config["elide_local_comm"]),
             merge_same_pe_buffers=bool(config["merge_same_pe_buffers"]),
-            use_delta=use_delta,
-            backend=backend,
             name=str(config["name"]),
             shed_policy=str(config["shed_policy"]),
             retry_limit=int(config["retry_limit"]),
@@ -267,8 +261,6 @@ class DurableScheduler:
         cls,
         journal_path: Union[str, Path],
         checkpoint_path: Optional[Union[str, Path]] = None,
-        use_delta: bool = True,
-        backend: Optional[str] = None,
         checkpoint_every: int = 0,
         fsync: bool = True,
     ) -> "DurableScheduler":
@@ -285,9 +277,7 @@ class DurableScheduler:
         scheduler: Optional[OnlineScheduler] = None
         if checkpoint_path is not None and Path(checkpoint_path).exists():
             payload = read_checkpoint(checkpoint_path)
-            scheduler = scheduler_from_config(
-                payload["config"], use_delta=use_delta, backend=backend
-            )
+            scheduler = scheduler_from_config(payload["config"])
             try:
                 scheduler.restore_state(payload["state"])
             except OnlineSchedulingError as exc:
@@ -309,9 +299,7 @@ class DurableScheduler:
                     "and no checkpoint was given; cannot rebuild the "
                     "scheduler"
                 )
-            scheduler = scheduler_from_config(
-                config, use_delta=use_delta, backend=backend
-            )
+            scheduler = scheduler_from_config(config)
         for idx, event in entries:
             if idx < start:
                 continue

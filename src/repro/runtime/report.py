@@ -127,9 +127,9 @@ class RuntimeReport:
     objective: str
     migration_budget: int
     records: List[EventRecord] = field(default_factory=list)
-    #: Resolved kernel backend name of the run's evaluation engine
-    #: ("python" | "numpy" | "cython", or "reference" for the
-    #: full-``analyze()`` path).  "" in archives predating the field.
+    #: Resolved kernel label of the run's evaluation engine
+    #: ("python" | "numpy" | "cython").  "" in archives predating the
+    #: field.
     kernel_backend: str = ""
 
     # ------------------------------------------------------------------ #

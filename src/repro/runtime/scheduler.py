@@ -72,10 +72,9 @@ mode (during a perturbation window: against the scaled graphs and
 platform, i.e. ``scheduler.platform``).  The full event/time semantics
 contract lives in :mod:`repro.runtime.faults`.
 
-``use_delta=False`` swaps the incremental engine for
-:class:`_ReferenceState`, which evaluates every candidate with a full
-``analyze()`` — the slow reference path used by the equivalence tests
-and the ≥5× speed-up guard in ``benchmarks/bench_online.py``.
+The kernel is resolved once, when the scheduler is built, and every
+analyzer it builds runs on that kernel; :attr:`OnlineScheduler.kernel_backend`
+names it in reports and ``/stats``.
 """
 
 from __future__ import annotations
@@ -84,14 +83,9 @@ import logging
 import math
 from dataclasses import asdict, dataclass, field, replace
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import (
-    MappingError,
-    ObjectiveError,
-    OnlineSchedulingError,
-    ReproError,
-)
+from ..errors import ObjectiveError, OnlineSchedulingError, ReproError
 from ..graph import io as graph_io
 from ..obs import metrics as _metrics
 from ..obs import tracing as _tracing
@@ -101,10 +95,10 @@ from ..graph.workload import Workload
 from ..heuristics import budgeted_descent
 from ..platform.cell import CellPlatform
 from ..steady_state.backend import resolve_backend
-from ..steady_state.delta import DeltaAnalyzer, ObjectiveScore
+from ..steady_state.delta import DeltaAnalyzer
 from ..steady_state.mapping import Mapping
 from ..steady_state.objective import OBJECTIVES, make_objective
-from ..steady_state.throughput import PeriodAnalysis, analyze
+from ..steady_state.throughput import PeriodAnalysis
 from .events import (
     AppArrival,
     AppDeparture,
@@ -126,168 +120,13 @@ STATE_SCHEMA = 1
 _LOG = get_logger("runtime")
 
 
-def _score_analysis(analysis: PeriodAnalysis, objective) -> ObjectiveScore:
-    """An :class:`ObjectiveScore` from a full analysis (reference path).
-
-    Mirrors ``DeltaAnalyzer._evaluate`` so the two paths rank candidates
-    by the exact same values.
-    """
-    if objective is None or not getattr(objective, "needs_app_periods", False):
-        value = (
-            analysis.period
-            if objective is None
-            else objective.value(analysis.period, None)
-        )
-    else:
-        value = objective.value(analysis.period, analysis.app_periods)
-    return ObjectiveScore(
-        value=value,
-        period=analysis.period,
-        feasible=analysis.feasible,
-        n_violations=len(analysis.violations),
-    )
-
-
-class _ReferenceState:
-    """Full-``analyze()`` stand-in for :class:`DeltaAnalyzer`.
-
-    Implements exactly the evaluation surface the scheduler uses, with
-    every query answered by a fresh O(V+E) analysis of the whole mapping
-    — the reference the delta path is checked (and benchmarked) against.
-    """
-
-    def __init__(
-        self,
-        mapping: Mapping,
-        elide_local_comm: bool = False,
-        merge_same_pe_buffers: bool = False,
-    ) -> None:
-        self.graph = mapping.graph
-        self.platform = mapping.platform
-        self.elide_local_comm = bool(elide_local_comm)
-        self.merge_same_pe_buffers = bool(merge_same_pe_buffers)
-        self._assign: Dict[str, int] = mapping.to_dict()
-
-    def _analyze(self, assign: Dict[str, int]) -> PeriodAnalysis:
-        return analyze(
-            Mapping(self.graph, self.platform, assign),
-            elide_local_comm=self.elide_local_comm,
-            merge_same_pe_buffers=self.merge_same_pe_buffers,
-        )
-
-    def pe_of(self, task: str) -> int:
-        try:
-            return self._assign[task]
-        except KeyError:
-            raise MappingError(f"task {task!r} is not mapped") from None
-
-    def assignment(self) -> Dict[str, int]:
-        return dict(self._assign)
-
-    def tasks_on(self, pe: int) -> List[str]:
-        if not 0 <= pe < self.platform.n_pes:
-            raise MappingError(
-                f"invalid PE {pe!r} (platform has {self.platform.n_pes} PEs)"
-            )
-        return [name for name, host in self._assign.items() if host == pe]
-
-    def mapping(self) -> Mapping:
-        return Mapping(self.graph, self.platform, self._assign)
-
-    def snapshot(self) -> PeriodAnalysis:
-        return self._analyze(self._assign)
-
-    def period(self) -> float:
-        return self.snapshot().period
-
-    @property
-    def feasible(self) -> bool:
-        return self.snapshot().feasible
-
-    def evaluate(self, objective=None) -> ObjectiveScore:
-        return _score_analysis(self.snapshot(), objective)
-
-    def evaluate_move(self, task: str, pe: int, objective=None) -> ObjectiveScore:
-        candidate = dict(self._assign)
-        candidate[task] = pe
-        return _score_analysis(self._analyze(candidate), objective)
-
-    def evaluate_moves(
-        self,
-        task: str,
-        pes: Optional[Sequence[int]] = None,
-        objective=None,
-    ) -> List[ObjectiveScore]:
-        """Reference mirror of the delta engine's batched sweep.
-
-        One full ``analyze()`` per candidate — no shared precomputation
-        to exploit here, but the surface matches so the scheduler and
-        ``budgeted_descent`` run unchanged on either engine.
-        """
-        if pes is None:
-            pes = range(self.platform.n_pes)
-        return [self.evaluate_move(task, pe, objective) for pe in pes]
-
-    def best_move(
-        self,
-        tasks: Optional[Sequence[str]] = None,
-        pes: Optional[Sequence[int]] = None,
-        objective=None,
-        period_cap: float = math.inf,
-    ) -> Optional[Tuple[str, int, ObjectiveScore]]:
-        """Reference mirror of :meth:`DeltaAnalyzer.best_move`."""
-        current = self.evaluate(objective)
-        if tasks is None:
-            tasks = self.graph.task_names()
-        if pes is None:
-            pes = range(self.platform.n_pes)
-        best: Optional[Tuple[str, int, ObjectiveScore]] = None
-        best_key = (current.value, current.period)
-        for name in tasks:
-            origin = self.pe_of(name)
-            for pe in pes:
-                if pe == origin:
-                    continue
-                score = self.evaluate_move(name, pe, objective)
-                if not score.feasible:
-                    continue
-                if score.period > period_cap and score.period >= current.period:
-                    continue
-                key = (score.value, score.period)
-                if key < best_key:
-                    best, best_key = (name, pe, score), key
-        return best
-
-    def apply_move(self, task: str, pe: int) -> None:
-        self.pe_of(task)  # raises on unknown tasks, like the delta engine
-        self._assign[task] = pe
-
-    def apply_changes(self, changes: Dict[str, int]) -> None:
-        for task, pe in changes.items():
-            self.apply_move(task, pe)
-
-    def clone(self) -> "_ReferenceState":
-        return _ReferenceState(
-            self.mapping(),
-            elide_local_comm=self.elide_local_comm,
-            merge_same_pe_buffers=self.merge_same_pe_buffers,
-        )
-
-    def resync(self) -> None:  # always exact — nothing to re-anchor
-        pass
-
-
-#: Either evaluation engine; the scheduler only uses the shared surface.
-_State = Union[DeltaAnalyzer, _ReferenceState]
-
-
 # ---------------------------------------------------------------------- #
 # Shed policies: who goes first when the platform cannot carry everyone.
 # Each policy maps (scheduler, state) -> the victim application's name;
 # the workload is guaranteed non-empty when a policy is consulted.
 
 
-def _shed_lowest_weight(sched: "OnlineScheduler", state: _State) -> str:
+def _shed_lowest_weight(sched: "OnlineScheduler", state: DeltaAnalyzer) -> str:
     """Lowest throughput weight goes first (ties: earliest resident)."""
     return min(
         enumerate(sched.workload),
@@ -295,7 +134,7 @@ def _shed_lowest_weight(sched: "OnlineScheduler", state: _State) -> str:
     )[1].name
 
 
-def _shed_highest_stretch(sched: "OnlineScheduler", state: _State) -> str:
+def _shed_highest_stretch(sched: "OnlineScheduler", state: DeltaAnalyzer) -> str:
     """Worst period-versus-reference ratio goes first.
 
     Each application's reference is its declared target period, or the
@@ -319,13 +158,13 @@ def _shed_highest_stretch(sched: "OnlineScheduler", state: _State) -> str:
     return max(enumerate(sched.workload), key=stretch)[1].name
 
 
-def _shed_newest_first(sched: "OnlineScheduler", state: _State) -> str:
+def _shed_newest_first(sched: "OnlineScheduler", state: DeltaAnalyzer) -> str:
     """Most recently admitted goes first (LIFO: protect seniority)."""
     return list(sched.workload)[-1].name
 
 
 #: Pluggable shed policies for degradation handling (``shed_policy=``).
-SHED_POLICIES: Dict[str, Callable[["OnlineScheduler", _State], str]] = {
+SHED_POLICIES: Dict[str, Callable[["OnlineScheduler", DeltaAnalyzer], str]] = {
     "lowest-weight": _shed_lowest_weight,
     "highest-stretch": _shed_highest_stretch,
     "newest-first": _shed_newest_first,
@@ -376,14 +215,6 @@ class OnlineScheduler:
     elide_local_comm / merge_same_pe_buffers:
         Buffer-model flags, threaded through to the evaluation engine
         exactly as in the offline heuristics.
-    use_delta:
-        ``True`` (default): incremental :class:`DeltaAnalyzer`
-        evaluation.  ``False``: the full-``analyze()`` reference path.
-    backend:
-        Kernel backend for the delta engine (``"python"`` | ``"numpy"``
-        | ``None`` for auto-detection, see
-        :func:`repro.steady_state.resolve_backend`).  Ignored under
-        ``use_delta=False``.
     shed_policy:
         Victim selection when load must be dropped (:data:`SHED_POLICIES`:
         ``lowest-weight`` | ``highest-stretch`` | ``newest-first``).
@@ -403,8 +234,6 @@ class OnlineScheduler:
         migration_budget: int = 4,
         elide_local_comm: bool = False,
         merge_same_pe_buffers: bool = False,
-        use_delta: bool = True,
-        backend: Optional[str] = None,
         name: str = "online",
         shed_policy: str = "lowest-weight",
         retry_limit: int = 0,
@@ -446,8 +275,9 @@ class OnlineScheduler:
         self.migration_budget = int(migration_budget)
         self.elide_local_comm = bool(elide_local_comm)
         self.merge_same_pe_buffers = bool(merge_same_pe_buffers)
-        self.use_delta = bool(use_delta)
-        self.backend = backend
+        #: Resolved kernel label, fixed for the scheduler's lifetime
+        #: (``REPRO_KERNEL_BACKEND`` is read here and nowhere later).
+        self._kernel_backend = resolve_backend()
         self.workload = Workload(name)
         #: The PPE that absorbs evacuations and parks unplaced tasks: a
         #: PPE has no local-store or DMA-queue constraints, so hosting
@@ -460,7 +290,7 @@ class OnlineScheduler:
         self.brownout_threshold = float(brownout_threshold)
         self._failed: set = set()
         self._assign: Dict[str, int] = {}
-        self._state: Optional[_State] = None
+        self._state: Optional[DeltaAnalyzer] = None
         self._obj = None
         self._records: List[EventRecord] = []
         self._time = 0.0
@@ -477,7 +307,7 @@ class OnlineScheduler:
     # Introspection
 
     @property
-    def state(self) -> Optional[_State]:
+    def state(self) -> Optional[DeltaAnalyzer]:
         """The committed evaluation state (``None`` while idle)."""
         return self._state
 
@@ -524,15 +354,9 @@ class OnlineScheduler:
 
     @property
     def kernel_backend(self) -> str:
-        """Resolved evaluation-engine name for reporting.
-
-        ``"reference"`` under ``use_delta=False`` (the full-``analyze()``
-        path has no kernel); otherwise the backend the delta engine
-        resolves to ("python" | "numpy" | "cython").
-        """
-        if not self.use_delta:
-            return "reference"
-        return resolve_backend(self.backend)
+        """The kernel every analyzer of this scheduler runs on
+        ("python" | "numpy" | "cython"), resolved once at construction."""
+        return self._kernel_backend
 
     def report(self) -> RuntimeReport:
         return RuntimeReport(
@@ -551,10 +375,10 @@ class OnlineScheduler:
 
         Everything a fresh, equivalent scheduler needs — the *base*
         (unperturbed) platform's full field set, the objective, budget,
-        buffer-model flags and degradation knobs.  Evaluation-engine
-        choices (``use_delta``/``backend``) are deliberately excluded:
-        they never influence a decision (backend interchangeability is a
-        repo invariant), so recovery is free to pick any engine.
+        buffer-model flags and degradation knobs.  The kernel
+        is deliberately excluded: it never influences a decision
+        (kernel interchangeability is a repo invariant), so recovery is
+        free to run on any kernel.
         """
         base = (
             self._perturbation.base_platform
@@ -824,18 +648,14 @@ class OnlineScheduler:
     # ------------------------------------------------------------------ #
     # Shared machinery
 
-    def _make_state(self, mapping: Mapping) -> _State:
-        if self.use_delta:
-            return DeltaAnalyzer(
-                mapping,
-                elide_local_comm=self.elide_local_comm,
-                merge_same_pe_buffers=self.merge_same_pe_buffers,
-                backend=self.backend,
-            )
-        return _ReferenceState(
+    def _make_state(self, mapping: Mapping) -> DeltaAnalyzer:
+        # Pass the selection explicitly so no analyzer re-reads
+        # REPRO_KERNEL_BACKEND: every one runs on the reported kernel.
+        return DeltaAnalyzer(
             mapping,
             elide_local_comm=self.elide_local_comm,
             merge_same_pe_buffers=self.merge_same_pe_buffers,
+            backend="python" if self._kernel_backend == "python" else "auto",
         )
 
     def _live_pes(self) -> List[int]:
@@ -855,7 +675,7 @@ class OnlineScheduler:
         ]
         return min(targets) if targets else math.inf
 
-    def _violated_targets(self, state: _State) -> List[str]:
+    def _violated_targets(self, state: DeltaAnalyzer) -> List[str]:
         """Resident apps whose declared target the shared period misses."""
         period = state.period()
         return [
@@ -864,7 +684,7 @@ class OnlineScheduler:
             if app.target_period is not None and period > app.target_period
         ]
 
-    def _ok(self, state: _State) -> bool:
+    def _ok(self, state: DeltaAnalyzer) -> bool:
         """The committed-state gate: what every event must restore.
 
         Hard feasibility always; declared QoS targets only outside
@@ -888,8 +708,8 @@ class OnlineScheduler:
         return was, self._degraded
 
     def _enforce(
-        self, state: Optional[_State]
-    ) -> Tuple[Optional[_State], int, List[str]]:
+        self, state: Optional[DeltaAnalyzer]
+    ) -> Tuple[Optional[DeltaAnalyzer], int, List[str]]:
         """Repair-then-shed until the committed gate passes.
 
         Budgeted remapping first; when that is not enough, the shed
@@ -914,7 +734,7 @@ class OnlineScheduler:
             state = self._rebuild(state.assignment())
         return state, migrations, dropped
 
-    def _insert_tasks(self, state: _State, tasks: Sequence[str], obj) -> None:
+    def _insert_tasks(self, state: DeltaAnalyzer, tasks: Sequence[str], obj) -> None:
         """Greedy delta-scored placement of ``tasks``, one at a time.
 
         Each task's live-PE candidates go through one
@@ -930,7 +750,7 @@ class OnlineScheduler:
             if found is not None:
                 state.apply_move(found[0], found[1])
 
-    def _reoptimize(self, state: _State, obj, budget: int) -> int:
+    def _reoptimize(self, state: DeltaAnalyzer, obj, budget: int) -> int:
         """Budgeted steepest-descent remapping on the live PEs.
 
         Delegates to :func:`repro.heuristics.budgeted_descent`: each
@@ -947,7 +767,7 @@ class OnlineScheduler:
             period_cap=self._target_cap(),
         )
 
-    def _rebuild(self, assign: Dict[str, int]) -> Optional[_State]:
+    def _rebuild(self, assign: Dict[str, int]) -> Optional[DeltaAnalyzer]:
         """A fresh state over the current workload's composite.
 
         ``assign`` provides the PEs of every surviving task (extra
@@ -962,7 +782,7 @@ class OnlineScheduler:
         self._obj = make_objective(self.objective, composite)
         return self._make_state(Mapping(composite, self.platform, surviving))
 
-    def _commit(self, state: Optional[_State]) -> None:
+    def _commit(self, state: Optional[DeltaAnalyzer]) -> None:
         if state is not None:
             state.resync()  # re-anchor: snapshot == fresh analyze, bit for bit
         self._state = state
@@ -1114,7 +934,7 @@ class OnlineScheduler:
             if heaviest_first == new_tasks
             else (new_tasks, heaviest_first)
         )
-        best_state: Optional[_State] = None
+        best_state: Optional[DeltaAnalyzer] = None
         best_key = None
         for order in orders:
             trial = base.clone()

@@ -13,9 +13,9 @@
   integer-indexed graph arrays (CSR adjacency, flat cost tables) the
   delta engine runs on;
 * :func:`resolve_backend` / :func:`available_backends` /
-  :func:`numpy_available` / :func:`cython_available` — kernel-backend
-  selection (scalar reference kernel, vectorized numpy kernels, or the
-  compiled extension; ``REPRO_KERNEL_BACKEND``);
+  :func:`cython_available` — kernel selection (the scalar reference
+  kernel, or the fast engine: numpy's dense kernels plus the compiled
+  extension when built; ``REPRO_KERNEL_BACKEND``);
 * :class:`ClonePool` — free-list of analyzer clones recycled through
   in-place state copies (the GA's allocation-free generations);
 * :mod:`~repro.steady_state.objective` — pluggable scheduling objectives
@@ -30,7 +30,6 @@ from .backend import (
     NO_EXTENSION_ENV_VAR,
     available_backends,
     cython_available,
-    numpy_available,
     resolve_backend,
 )
 from .compiled import CompiledGraph, compile_graph
@@ -66,7 +65,6 @@ __all__ = [
     "NO_EXTENSION_ENV_VAR",
     "available_backends",
     "cython_available",
-    "numpy_available",
     "resolve_backend",
     "CompiledGraph",
     "compile_graph",

@@ -1,54 +1,42 @@
-"""Kernel-backend selection for the delta engine.
+"""Kernel selection for the delta engine.
 
-PR 5 compiled graphs into integer CSR arrays (:mod:`.compiled`); the
-neighbourhood arithmetic itself can now run on three interchangeable
-backends behind the same :class:`~repro.steady_state.delta.DeltaAnalyzer`
-API:
+The neighbourhood arithmetic behind the
+:class:`~repro.steady_state.delta.DeltaAnalyzer` API runs on one of two
+engines, picked once per analyzer:
 
 ``python``
-    The scalar reference kernel — pure-Python loops over the CSR
-    arrays.  Always available, and the semantics oracle: every other
-    backend must reproduce its results bit for bit on integer-valued
+    The scalar reference kernel — pure-Python loops over the compiled
+    CSR arrays (:mod:`.compiled`).  The semantics oracle: the fast
+    engine must reproduce its results bit for bit on integer-valued
     cost graphs (and within one ulp otherwise, where summation order
     differs).
-``numpy``
-    Dense array kernels (:mod:`.backend_numpy`): one masked cost-matrix
-    pass per neighbourhood (all tasks × all PEs), a pairwise
-    swap-neighbourhood kernel, and a population-level "score K
-    assignments at once" pass for the GA.  Requires numpy at runtime.
-``cython``
-    The compiled extension (:mod:`.backend_cython` over
-    ``repro.steady_state._ckernel``): native scalar hot paths for
-    exactly the work the dense kernels leave to Python — per-candidate
-    scoring in the mapping-dependent buffer modes (including the
-    incremental ``firstPeriod`` worklist), the ``_apply``/resync commit
-    path, and in-place clone-state copies for the GA pool.  Requires
-    the extension to have been built (``pip install .`` compiles it
-    when a C compiler is present; pure-python installs skip it).  When
-    numpy is also importable the dense batch kernels stay active
-    alongside the native scalar paths.
+``auto`` (the default)
+    The fast engine.  In the default buffer model numpy's dense kernels
+    (:mod:`.backend_numpy`) score whole neighbourhoods, swap-pair sets
+    and GA populations in matrix passes.  When the compiled extension
+    (:mod:`.backend_cython` over ``repro.steady_state._ckernel``)
+    imports, it also runs the scalar hot paths the dense kernels leave
+    to Python: per-candidate scoring in the mapping-dependent buffer
+    modes (including the incremental ``firstPeriod`` worklist), the
+    ``_apply``/resync commit path and in-place clone-state copies.
+
+A selection resolves to a label that names the engine that ran:
+``python``, ``numpy`` (fast engine without the extension) or ``cython``
+(fast engine with it).  Reports, ``/stats`` and benchmark records carry
+the label.
 
 Selection precedence (highest first):
 
-1. an explicit ``backend=`` argument to ``DeltaAnalyzer`` /
-   ``OnlineScheduler`` / the strategy entry points;
-2. the ``REPRO_KERNEL_BACKEND`` environment variable
-   (``python`` | ``numpy`` | ``cython`` | ``auto``);
-3. ``auto`` — the compiled extension when importable, else numpy when
-   importable, else the scalar kernel.
-
-Requesting ``numpy`` or ``cython`` explicitly (argument or env var) in
-an environment that cannot satisfy it raises
-:class:`~repro.errors.KernelBackendError` naming the fix; ``auto``
-silently falls back down the precedence chain.  Under the ``python``
-and ``numpy`` backends the mapping-dependent buffer modes
-(``elide_local_comm`` / ``merge_same_pe_buffers``) always evaluate on
-the scalar kernel — the vectorized passes cover the default buffer
-model, where candidate footprints are mapping-independent; the
-``cython`` backend is the one that accelerates those modes.
+1. ``DeltaAnalyzer``'s ``backend`` argument, when given;
+2. the ``REPRO_KERNEL_BACKEND`` environment variable (``python`` |
+   ``auto``);
+3. ``auto``.
 
 Setting ``REPRO_NO_EXTENSION=1`` makes the process behave as if the
-extension were never built (CI's forced no-extension leg).
+extension were never built, so ``auto`` resolves to ``numpy``.  The
+labels ``numpy`` and ``cython`` are not selections: requesting either
+raises :class:`~repro.errors.KernelBackendError` naming ``auto`` and
+``REPRO_NO_EXTENSION``.
 """
 
 from __future__ import annotations
@@ -64,7 +52,6 @@ __all__ = [
     "NO_EXTENSION_ENV_VAR",
     "available_backends",
     "cython_available",
-    "numpy_available",
     "resolve_backend",
 ]
 
@@ -75,25 +62,10 @@ BACKEND_ENV_VAR = "REPRO_KERNEL_BACKEND"
 #: as unavailable even if built — the CI no-extension leg sets this.
 NO_EXTENSION_ENV_VAR = "REPRO_NO_EXTENSION"
 
-#: The recognised backend names (``auto`` additionally accepted as a
-#: selector meaning "pick for me").
-KERNEL_BACKENDS: Tuple[str, ...] = ("python", "numpy", "cython")
+#: The selectable kernel names.
+KERNEL_BACKENDS: Tuple[str, ...] = ("python", "auto")
 
-_NUMPY_OK: Optional[bool] = None
 _CYTHON_OK: Optional[bool] = None
-
-
-def numpy_available() -> bool:
-    """Whether the numpy kernel backend can be used in this process."""
-    global _NUMPY_OK
-    if _NUMPY_OK is None:
-        try:
-            import numpy  # noqa: F401
-
-            _NUMPY_OK = True
-        except ImportError:  # pragma: no cover - exercised via stubbing
-            _NUMPY_OK = False
-    return _NUMPY_OK
 
 
 def cython_available() -> bool:
@@ -116,17 +88,12 @@ def cython_available() -> bool:
 
 
 def available_backends() -> Tuple[str, ...]:
-    """The backend names usable in this process, scalar kernel first."""
-    names = ["python"]
-    if numpy_available():
-        names.append("numpy")
-    if cython_available():
-        names.append("cython")
-    return tuple(names)
+    """The labels ``python`` and ``auto`` resolve to in this process."""
+    return ("python", resolve_backend("auto"))
 
 
 def resolve_backend(backend: Optional[str] = None) -> str:
-    """Resolve a backend request to a concrete backend name.
+    """Resolve a kernel selection to the label of the engine that runs.
 
     ``backend`` is the explicit argument (wins when given); ``None``
     defers to ``REPRO_KERNEL_BACKEND``, and an unset/``auto`` selection
@@ -137,27 +104,26 @@ def resolve_backend(backend: Optional[str] = None) -> str:
     if choice is None:
         choice = os.environ.get(BACKEND_ENV_VAR) or "auto"
         source = f"{BACKEND_ENV_VAR} environment variable"
+    names = ", ".join(KERNEL_BACKENDS)
+    if not isinstance(choice, str):
+        raise KernelBackendError(
+            f"kernel backend must be a string, got {choice!r} "
+            f"(from {source}); pick from {names}"
+        )
     choice = choice.strip().lower()
+    if choice == "python":
+        return "python"
     if choice == "auto":
-        if cython_available():
-            return "cython"
-        return "numpy" if numpy_available() else "python"
-    if choice not in KERNEL_BACKENDS:
-        names = ", ".join(KERNEL_BACKENDS + ("auto",))
+        return "cython" if cython_available() else "numpy"
+    if choice in ("numpy", "cython"):
         raise KernelBackendError(
-            f"unknown kernel backend {choice!r} (from {source}); "
-            f"pick from {names}"
+            f"kernel backend {choice!r} (from {source}) is a label, not a "
+            "selection; pick 'auto', which uses numpy's dense kernels and "
+            "the compiled extension whenever it is built (`pip install .` "
+            "or `python setup.py build_ext --inplace`), and set "
+            f"{NO_EXTENSION_ENV_VAR}=1 to run without the extension"
         )
-    if choice == "numpy" and not numpy_available():
-        raise KernelBackendError(
-            f"kernel backend 'numpy' requested via {source} "
-            "but numpy is not importable in this environment"
-        )
-    if choice == "cython" and not cython_available():
-        raise KernelBackendError(
-            f"kernel backend 'cython' requested via {source} but the "
-            "compiled extension is not built in this environment; "
-            "build it with `pip install .` (needs a C compiler) or "
-            "`python setup.py build_ext --inplace` for a source tree"
-        )
-    return choice
+    raise KernelBackendError(
+        f"unknown kernel backend {choice!r} (from {source}); "
+        f"pick from {names}"
+    )

@@ -1,4 +1,4 @@
-"""Dense numpy kernels for the delta engine (the ``numpy`` backend).
+"""Dense numpy kernels for the delta engine's fast engine.
 
 Where the scalar kernel (:meth:`DeltaAnalyzer._sweep` and friends) walks
 the compiled CSR arrays in Python, these kernels score whole
@@ -29,15 +29,14 @@ branches:
 
 Only the **default buffer model** is vectorized; the mapping-dependent
 modes (``elide_local_comm``/``merge_same_pe_buffers``) re-derive
-per-task footprints per candidate and always take the scalar fallback
-inside the public ``DeltaAnalyzer`` entry points (same convention as
-PR 5's batched kernel).
+per-task footprints per candidate, so analyzers in those modes build no
+dense kernel and score through the scalar (or compiled) paths.
 """
 
 from __future__ import annotations
 
 from types import SimpleNamespace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -51,7 +50,7 @@ def build_graph_arrays(cg) -> SimpleNamespace:
     """Mapping-independent numpy mirrors of a :class:`CompiledGraph`.
 
     Built once per graph version (cached on the compiled graph) and
-    shared read-only by every numpy-backend analyzer: cost tables, edge
+    shared read-only by every dense-kernel analyzer: cost tables, edge
     endpoint/byte arrays, static per-task in/out totals, and the sorted
     direct-edge pair table (``pair_keys``/``pair_bytes``/``pair_counts``)
     the swap kernel resolves a↔b adjacency against.

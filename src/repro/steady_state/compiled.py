@@ -211,12 +211,10 @@ class CompiledGraph:
         """Numpy mirrors of the compiled arrays, built once per graph.
 
         Returns a read-only namespace of mapping-independent ndarrays
-        shared by every numpy-backend analyzer on this graph version:
+        shared by every dense-kernel analyzer on this graph version:
         cost tables, edge endpoint/byte arrays, static per-task in/out
         aggregates, the app index, and the sorted direct-edge pair table
-        the swap kernel looks pairs up in.  Raises ``ImportError`` when
-        numpy is unavailable — callers gate on
-        :func:`~repro.steady_state.backend.numpy_available`.
+        the swap kernel looks pairs up in.
         """
         if self._np is None:
             from .backend_numpy import build_graph_arrays

@@ -239,10 +239,14 @@ class DeltaAnalyzer:
     All internal state is integer-indexed over the memoized
     :class:`~repro.steady_state.compiled.CompiledGraph` of the graph; the
     public API speaks task names.
+
+    ``backend`` is the one place a caller picks a kernel: ``"python"``
+    (the scalar oracle) or ``"auto"``; ``None`` defers to
+    ``REPRO_KERNEL_BACKEND`` (see :mod:`repro.steady_state.backend`).
     """
 
     #: Minimum task-batch size before the dense numpy kernels engage —
-    #: single-task sweeps stay on the scalar kernel under every backend
+    #: single-task sweeps stay on the scalar kernel on every engine
     #: (at n_pes ≤ 18 a dense pass costs more than it saves).
     _VECTOR_MIN_TASKS = 2
 
@@ -317,7 +321,7 @@ class DeltaAnalyzer:
         #: the numpy kernel can cache its dense state mirrors per state.
         self._state_version = 0
 
-        #: Resolved kernel backend: ``"python"``, ``"numpy"`` or
+        #: Resolved kernel label: ``"python"``, ``"numpy"`` or
         #: ``"cython"`` (see :mod:`repro.steady_state.backend` for the
         #: selection rules).  Resolved before the first ``_rebuild`` so
         #: the compiled extension can run the initial accumulation too.
@@ -330,18 +334,14 @@ class DeltaAnalyzer:
         self._kernel = self._make_kernel()
 
     def _make_kernel(self):
-        """The dense numpy batch kernel, active under ``numpy`` and —
-        when numpy is importable — under ``cython`` too (the extension
-        covers the scalar paths, the dense kernels the batch ones)."""
-        from .backend import numpy_available
+        """The dense numpy batch kernel: fast engine, default buffer
+        model only (the mapping-dependent modes score candidates one at
+        a time, so a dense kernel there would never run)."""
+        if self.backend == "python" or self._mapping_dependent:
+            return None
+        from .backend_numpy import NumpyKernel
 
-        if self.backend == "numpy" or (
-            self.backend == "cython" and numpy_available()
-        ):
-            from .backend_numpy import NumpyKernel
-
-            return NumpyKernel(self)
-        return None
+        return NumpyKernel(self)
 
     def _make_ckernel(self):
         if self.backend != "cython":
@@ -1872,7 +1872,6 @@ class DeltaAnalyzer:
         cur_period = current.period
         if (
             self._kernel is not None
-            and not self._mapping_dependent
             and len(tasks) >= self._VECTOR_MIN_TASKS
             and (objective is None or isinstance(objective, PeriodObjective))
         ):
@@ -1918,7 +1917,7 @@ class DeltaAnalyzer:
         return best
 
     # ------------------------------------------------------------------ #
-    # Whole-neighbourhood / population batch API (vectorized backend)
+    # Whole-neighbourhood / population batch API (dense kernels)
 
     def _resolve_tasks(
         self, tasks: Optional[Sequence[str]]
@@ -1944,8 +1943,8 @@ class DeltaAnalyzer:
         """Periods and violation counts of every (task, PE) move at once.
 
         Returns ``(period, n_violations)`` shaped ``len(tasks) ×
-        len(pes)`` — ndarrays under the numpy backend, nested lists under
-        the scalar backend (entries compare equal either way).  Entries
+        len(pes)`` — ndarrays from the dense kernel, nested lists from
+        the scalar one (entries compare equal either way).  Entries
         whose target equals the task's current PE hold the current
         state's period/violations, mirroring :meth:`score_moves`.  This
         is the raw whole-neighbourhood kernel; :meth:`evaluate_all_moves`
@@ -1954,7 +1953,7 @@ class DeltaAnalyzer:
         full = tasks is None, pes is None
         tids, names = self._resolve_tasks(tasks)
         pes = self._resolve_pes(pes)
-        if self._kernel is not None and not self._mapping_dependent:
+        if self._kernel is not None:
             reg = _metrics.REGISTRY
             if reg is not None:
                 reg.inc("moves_scored", len(tids) * len(pes))
@@ -1987,8 +1986,8 @@ class DeltaAnalyzer:
         """Objective scores of every (task, PE) move — one dense pass.
 
         Row ``i`` equals ``evaluate_moves(tasks[i], pes, objective)``
-        exactly (bit-identical on integer-valued graphs); under the numpy
-        backend all rows come from a single masked cost-matrix pass
+        exactly (bit-identical on integer-valued graphs); with the dense
+        kernel all rows come from a single masked cost-matrix pass
         instead of one kernel sweep per task.
         """
         full = tasks is None, pes is None
@@ -1996,7 +1995,6 @@ class DeltaAnalyzer:
         pes = self._resolve_pes(pes)
         if (
             self._kernel is None
-            or self._mapping_dependent
             or len(tids) < self._VECTOR_MIN_TASKS
         ):
             return [self.evaluate_moves(name, pes, objective) for name in names]
@@ -2052,7 +2050,6 @@ class DeltaAnalyzer:
         pairs = [(a, b) for a, b in pairs]
         if (
             self._kernel is None
-            or self._mapping_dependent
             or self._multi
             or len(pairs) < self._VECTOR_MIN_TASKS
         ):
@@ -2089,7 +2086,6 @@ class DeltaAnalyzer:
         pairs = [(a, b) for a, b in pairs]
         if (
             self._kernel is None
-            or self._mapping_dependent
             or self._multi
             or len(pairs) < self._VECTOR_MIN_TASKS
             or (
@@ -2148,14 +2144,13 @@ class DeltaAnalyzer:
 
         Each element of ``assignments`` is a change set relative to the
         current state (``{}`` scores the state itself); entry ``k``
-        equals ``score_changes(assignments[k])``.  Under the numpy
-        backend the K clones are scored by a single from-scratch matrix
+        equals ``score_changes(assignments[k])``.  With the dense kernel
+        the K clones are scored by a single from-scratch matrix
         pass — the GA's generation-evaluation hot path.
         """
         assignments = [dict(ch) for ch in assignments]
         if (
             self._kernel is None
-            or self._mapping_dependent
             or len(assignments) < self._VECTOR_MIN_TASKS
         ):
             return [self.score_changes(ch) for ch in assignments]
@@ -2189,7 +2184,6 @@ class DeltaAnalyzer:
         )
         if (
             self._kernel is None
-            or self._mapping_dependent
             or len(assignments) < self._VECTOR_MIN_TASKS
             or (needs_apps and cg.app_index is None)
         ):

@@ -1,13 +1,13 @@
-"""Kernel-backend selection and the backend-independence contract.
+"""Kernel selection and the kernel-independence contract.
 
 Covers the selection layer itself (``resolve_backend`` precedence:
-explicit argument > ``REPRO_KERNEL_BACKEND`` > auto-detection, error
-paths when numpy is requested but unavailable), the way
-:class:`DeltaAnalyzer` / the strategies / :class:`OnlineScheduler`
-thread the choice through, the batch-API validation errors, and —
-nightly, gated on ``REPRO_XCHECK_LARGE=1`` — a scaled-up scalar-vs-numpy
-cross-check on large random graphs.  The per-entry bit-exactness
-property suite lives in ``tests/test_compiled.py``.
+explicit argument > ``REPRO_KERNEL_BACKEND`` > auto-detection, and the
+errors for the retired ``numpy``/``cython`` selections), the way
+:class:`DeltaAnalyzer` and :class:`OnlineScheduler` pin the resolved
+kernel, the batch-API validation errors, and — nightly, gated on
+``REPRO_XCHECK_LARGE=1`` — a scaled-up scalar-vs-``auto`` cross-check
+on large random graphs.  The per-entry bit-exactness property suite
+lives in ``tests/test_compiled.py``.
 """
 
 import os
@@ -20,7 +20,9 @@ from test_delta import PLATFORMS, integer_cost_graph
 from repro.errors import KernelBackendError, MappingError
 from repro.heuristics import critical_path_mapping, local_search, tabu_search
 from repro.platform import CellPlatform
-from repro.runtime import OnlineScheduler
+from repro.runtime import OnlineScheduler, ScenarioGenerator
+from repro.runtime import scheduler as scheduler_mod
+from repro.runtime.events import AppArrival
 from repro.steady_state import (
     BACKEND_ENV_VAR,
     NO_EXTENSION_ENV_VAR,
@@ -29,23 +31,27 @@ from repro.steady_state import (
     Mapping,
     available_backends,
     cython_available,
-    numpy_available,
     resolve_backend,
 )
 from repro.steady_state import backend as backend_mod
+from repro.steady_state.reference import _ReferenceState
 
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy backend unavailable"
-)
 needs_cython = pytest.mark.skipif(
     not cython_available(), reason="compiled extension not built"
 )
 
 
+def select(label):
+    """The selection that resolves to ``label`` in this process."""
+    return "python" if label == "python" else "auto"
+
+
 class TestResolveBackend:
     def test_explicit_argument_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
+        monkeypatch.setenv(BACKEND_ENV_VAR, "auto")
         assert resolve_backend("python") == "python"
+        monkeypatch.setenv(BACKEND_ENV_VAR, "python")
+        assert resolve_backend("auto") == available_backends()[1]
 
     def test_env_var_used_when_no_argument(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "python")
@@ -53,30 +59,25 @@ class TestResolveBackend:
 
     def test_auto_detects(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        if cython_available():
-            expected = "cython"
-        else:
-            expected = "numpy" if numpy_available() else "python"
+        expected = "cython" if cython_available() else "numpy"
         assert resolve_backend() == expected
         assert resolve_backend("auto") == expected
         monkeypatch.setenv(BACKEND_ENV_VAR, "auto")
         assert resolve_backend() == expected
 
     def test_auto_precedence_pinned(self, monkeypatch):
-        """auto resolves cython > numpy > python, degrading one step at
-        a time as backends become unavailable."""
+        """auto resolves to the extension when it imports, else to
+        numpy's dense kernels — never to the scalar kernel."""
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
         monkeypatch.delenv(NO_EXTENSION_ENV_VAR, raising=False)
         monkeypatch.setattr(backend_mod, "_CYTHON_OK", True)
-        monkeypatch.setattr(backend_mod, "_NUMPY_OK", True)
         assert resolve_backend("auto") == "cython"
         monkeypatch.setattr(backend_mod, "_CYTHON_OK", False)
         assert resolve_backend("auto") == "numpy"
-        monkeypatch.setattr(backend_mod, "_NUMPY_OK", False)
-        assert resolve_backend("auto") == "python"
 
     def test_selection_is_trimmed_and_case_insensitive(self):
         assert resolve_backend("  PYTHON ") == "python"
+        assert resolve_backend(" Auto") == available_backends()[1]
 
     def test_unknown_name_raises_with_source(self, monkeypatch):
         with pytest.raises(KernelBackendError, match="backend argument"):
@@ -85,54 +86,72 @@ class TestResolveBackend:
         with pytest.raises(KernelBackendError, match=BACKEND_ENV_VAR):
             resolve_backend()
 
-    def test_numpy_request_without_numpy_raises(self, monkeypatch):
+    @pytest.mark.parametrize("label", ["numpy", "cython"])
+    def test_label_request_raises_naming_the_fix(self, monkeypatch, label):
+        """The resolved labels are not selections: asking for one, by
+        argument or env var, names ``auto`` and the extension switch."""
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        monkeypatch.setattr(backend_mod, "_NUMPY_OK", False)
-        monkeypatch.setattr(backend_mod, "_CYTHON_OK", False)
-        assert available_backends() == ("python",)
-        assert resolve_backend() == "python"  # auto falls back silently
-        with pytest.raises(KernelBackendError, match="not importable"):
-            resolve_backend("numpy")
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
+        for request in (label, label.upper()):
+            with pytest.raises(KernelBackendError) as info:
+                resolve_backend(request)
+            message = str(info.value)
+            assert "'auto'" in message
+            assert NO_EXTENSION_ENV_VAR in message
+            assert "backend argument" in message
+        monkeypatch.setenv(BACKEND_ENV_VAR, label)
         with pytest.raises(KernelBackendError, match=BACKEND_ENV_VAR):
             resolve_backend()
+        with pytest.raises(KernelBackendError, match=NO_EXTENSION_ENV_VAR):
+            DeltaAnalyzer(
+                Mapping.all_on_ppe(integer_cost_graph(1), CellPlatform.qs22())
+            )
+
+    @pytest.mark.parametrize("request_", [3, 1.5, ("python",), True])
+    def test_non_string_request_raises(self, request_):
+        with pytest.raises(KernelBackendError, match="must be a string"):
+            resolve_backend(request_)
+        mapping = Mapping.all_on_ppe(integer_cost_graph(1), CellPlatform.qs22())
+        with pytest.raises(KernelBackendError, match="backend argument"):
+            DeltaAnalyzer(mapping, backend=request_)
 
     def test_cython_request_without_extension_raises(self, monkeypatch):
-        """Explicit cython selection in a pure-python install fails with
-        an error that names the fix (how to build the extension)."""
+        """A cython request in a pure-python install fails with an error
+        that names how to build the extension, and ``auto`` degrades to
+        numpy's dense kernels."""
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
         monkeypatch.setattr(backend_mod, "_CYTHON_OK", False)
-        assert "cython" not in available_backends()
+        assert available_backends() == ("python", "numpy")
         with pytest.raises(KernelBackendError, match="pip install"):
             resolve_backend("cython")
         with pytest.raises(KernelBackendError, match="build_ext"):
             resolve_backend("cython")
-        monkeypatch.setenv(BACKEND_ENV_VAR, "cython")
-        with pytest.raises(KernelBackendError, match=BACKEND_ENV_VAR):
-            resolve_backend()
+        assert resolve_backend("auto") == "numpy"
 
     def test_no_extension_env_disables_cython(self, monkeypatch):
         """REPRO_NO_EXTENSION makes a built extension invisible (the CI
-        no-extension leg)."""
+        no-extension leg): auto resolves to numpy."""
+        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
         monkeypatch.setenv(NO_EXTENSION_ENV_VAR, "1")
         assert not cython_available()
-        assert "cython" not in available_backends()
-        with pytest.raises(KernelBackendError, match="not built"):
-            resolve_backend("cython")
+        assert available_backends() == ("python", "numpy")
+        assert resolve_backend() == "numpy"
 
     def test_available_backends_reflect_build_state(self, monkeypatch):
         monkeypatch.delenv(NO_EXTENSION_ENV_VAR, raising=False)
-        monkeypatch.setattr(backend_mod, "_NUMPY_OK", True)
         monkeypatch.setattr(backend_mod, "_CYTHON_OK", True)
-        assert available_backends() == ("python", "numpy", "cython")
+        assert available_backends() == ("python", "cython")
         monkeypatch.setattr(backend_mod, "_CYTHON_OK", False)
         assert available_backends() == ("python", "numpy")
         # and the real build state is what cython_available() reports
         monkeypatch.undo()
         assert ("cython" in available_backends()) == cython_available()
 
+    def test_available_backends_ignore_the_env_selection(self, monkeypatch):
+        monkeypatch.setenv(BACKEND_ENV_VAR, "python")
+        assert available_backends() == ("python", resolve_backend("auto"))
+
     def test_registry_names(self):
-        assert KERNEL_BACKENDS == ("python", "numpy", "cython")
+        assert KERNEL_BACKENDS == ("python", "auto")
         assert available_backends()[0] == "python"
 
 
@@ -147,37 +166,59 @@ class TestAnalyzerBackend:
         assert state.backend == "python"
         assert state._kernel is None
 
-    @needs_numpy
-    def test_numpy_backend_builds_kernel(self):
-        state = self._state(backend="numpy")
+    def test_numpy_backend_builds_kernel(self, monkeypatch):
+        """auto without the extension: dense kernels, no native paths."""
+        monkeypatch.setenv(NO_EXTENSION_ENV_VAR, "1")
+        state = self._state(backend="auto")
         assert state.backend == "numpy"
         assert state._kernel is not None
+        assert state._ck is None
 
-    @needs_numpy
     def test_env_var_selects_default(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "python")
         assert self._state().backend == "python"
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
-        assert self._state().backend == "numpy"
+        monkeypatch.setenv(BACKEND_ENV_VAR, "auto")
+        assert self._state().backend == available_backends()[1]
 
     @needs_cython
     def test_cython_backend_builds_ckernel(self):
-        state = self._state(backend="cython")
+        state = self._state(backend="auto")
         assert state.backend == "cython"
         assert state._ck is not None
         # the dense numpy batch kernels stay active alongside
-        assert (state._kernel is not None) == numpy_available()
+        assert state._kernel is not None
 
-    def test_non_cython_backends_have_no_ckernel(self):
+    def test_non_cython_backends_have_no_ckernel(self, monkeypatch):
         assert self._state(backend="python")._ck is None
-        if numpy_available():
-            assert self._state(backend="numpy")._ck is None
+        monkeypatch.setenv(NO_EXTENSION_ENV_VAR, "1")
+        assert self._state(backend="auto")._ck is None
 
-    @needs_numpy
+    @pytest.mark.parametrize(
+        "mode",
+        [
+            {"elide_local_comm": True},
+            {"merge_same_pe_buffers": True},
+            {"elide_local_comm": True, "merge_same_pe_buffers": True},
+        ],
+        ids=["elide", "merge", "elide+merge"],
+    )
+    @pytest.mark.parametrize("label", available_backends())
+    def test_mapping_dependent_modes_build_no_dense_kernel(self, label, mode):
+        """The dense kernel covers the default buffer model only, so the
+        mapping-dependent modes never build one — nor do their clones."""
+        state = self._state(backend=select(label), **mode)
+        assert state.backend == label
+        assert state._kernel is None
+        assert state.clone()._kernel is None
+        default = self._state(backend=select(label))
+        assert (default._kernel is None) == (label == "python")
+        assert (default.clone()._kernel is None) == (label == "python")
+
     def test_clone_preserves_backend(self):
-        for backend in available_backends():
-            state = self._state(backend=backend)
-            assert state.clone().backend == backend
+        for label in available_backends():
+            state = self._state(backend=select(label))
+            assert state.backend == label
+            assert state.clone().backend == label
 
     def test_batch_validation_errors(self):
         state = self._state(backend=None)
@@ -192,52 +233,84 @@ class TestAnalyzerBackend:
             state.evaluate_swaps([(names[0], "missing-task")] * 2)
 
 
-@needs_numpy
 class TestBackendThreading:
-    """The strategies and the online runtime honour ``backend=``."""
+    """The strategies follow ``REPRO_KERNEL_BACKEND``; the online runtime
+    resolves it once and runs every analyzer on that kernel."""
 
-    def test_local_search_backend_independent(self):
+    def test_local_search_backend_independent(self, monkeypatch):
         g = integer_cost_graph(6, n_min=12, n_max=16)
         start = critical_path_mapping(g, CellPlatform.qs22())
-        a = local_search(start, max_rounds=5, backend="python")
-        b = local_search(start, max_rounds=5, backend="numpy")
-        assert a.to_dict() == b.to_dict()
+        results = []
+        for selection in KERNEL_BACKENDS:
+            monkeypatch.setenv(BACKEND_ENV_VAR, selection)
+            results.append(local_search(start, max_rounds=5).to_dict())
+        assert results[0] == results[1]
 
-    def test_tabu_search_backend_independent(self):
+    def test_tabu_search_backend_independent(self, monkeypatch):
         g = integer_cost_graph(6, n_min=12, n_max=16)
-        a = tabu_search(g, CellPlatform.qs22(), seed=3, rounds=10, backend="python")
-        b = tabu_search(g, CellPlatform.qs22(), seed=3, rounds=10, backend="numpy")
-        assert a.to_dict() == b.to_dict()
+        results = []
+        for selection in KERNEL_BACKENDS:
+            monkeypatch.setenv(BACKEND_ENV_VAR, selection)
+            mapping = tabu_search(g, CellPlatform.qs22(), seed=3, rounds=10)
+            results.append(mapping.to_dict())
+        assert results[0] == results[1]
 
-    def test_online_scheduler_forwards_backend(self):
-        from repro.runtime.events import AppArrival
-
-        for backend in available_backends():
-            sched = OnlineScheduler(CellPlatform.qs22(), backend=backend)
+    def test_online_scheduler_forwards_backend(self, monkeypatch):
+        for label in available_backends():
+            monkeypatch.setenv(BACKEND_ENV_VAR, select(label))
+            sched = OnlineScheduler(CellPlatform.qs22())
             sched.run([AppArrival(0.0, "app", integer_cost_graph(2, n_min=6, n_max=9))])
-            assert sched.state.backend == backend
+            assert sched.state.backend == label
+            assert sched.kernel_backend == label
 
-    def test_reference_state_ignores_backend(self):
-        sched = OnlineScheduler(
-            CellPlatform.qs22(), use_delta=False, backend="numpy"
-        )
-        from repro.runtime.events import AppArrival
+    def test_scheduler_resolves_the_kernel_once(self, monkeypatch):
+        """Regression: the report names the kernel the decisions ran on,
+        even when the env var changes between ``run()`` and ``report()``,
+        and no analyzer built mid-run re-reads the env var."""
+        platform = CellPlatform.qs22()
+        events = ScenarioGenerator(platform, seed=5, load=2.5).generate(16)
+        monkeypatch.setenv(BACKEND_ENV_VAR, "python")
+        sched = OnlineScheduler(platform, migration_budget=2)
+        built = []
+        original = scheduler_mod.DeltaAnalyzer
 
+        def tracking(*args, **kwargs):
+            state = original(*args, **kwargs)
+            built.append(state.backend)
+            return state
+
+        monkeypatch.setattr(scheduler_mod, "DeltaAnalyzer", tracking)
+        half = len(events) // 2
+        sched.run(events[:half])
+        n_before = len(built)
+        monkeypatch.setenv(BACKEND_ENV_VAR, "auto")
+        for event in events[half:]:
+            sched.process(event)
+        assert 0 < n_before < len(built)
+        assert set(built) == {"python"}
+        monkeypatch.delenv(BACKEND_ENV_VAR)
+        assert sched.report().kernel_backend == "python"
+        assert sched.kernel_backend == "python"
+
+    def test_reference_state_ignores_backend(self, monkeypatch):
+        """The full-analyze() oracle stands in for DeltaAnalyzer in the
+        scheduler: it takes the same arguments and builds no kernel."""
+        monkeypatch.setattr(scheduler_mod, "DeltaAnalyzer", _ReferenceState)
+        sched = OnlineScheduler(CellPlatform.qs22())
         sched.run([AppArrival(0.0, "app", integer_cost_graph(2, n_min=6, n_max=9))])
+        assert isinstance(sched.state, _ReferenceState)
         assert not hasattr(sched.state, "_kernel")
 
 
-@needs_numpy
 @pytest.mark.skipif(
     not os.environ.get("REPRO_XCHECK_LARGE"),
     reason="nightly scale: set REPRO_XCHECK_LARGE=1",
 )
 def test_large_random_graph_cross_check():
-    """Nightly: the scalar kernel and every other available backend
-    agree verdict for verdict on graphs an order of magnitude past the
-    tier-1 sizes, interleaved with applies (exercises the cached-state
-    invalidation paths at scale)."""
-    others = [b for b in available_backends() if b != "python"]
+    """Nightly: the scalar kernel and ``auto`` agree verdict for verdict
+    on graphs an order of magnitude past the tier-1 sizes, interleaved
+    with applies (exercises the cached-state invalidation paths at
+    scale)."""
     for seed in range(4):
         g = integer_cost_graph(seed, n_min=120, n_max=180)
         platform = PLATFORMS[seed % len(PLATFORMS)]
@@ -247,7 +320,7 @@ def test_large_random_graph_cross_check():
         assignment = {n: rng.randrange(n_pes) for n in names}
         mapping = Mapping(g, platform, assignment)
         scalar = DeltaAnalyzer(mapping, backend="python")
-        states = [DeltaAnalyzer(mapping, backend=b) for b in others]
+        states = [DeltaAnalyzer(mapping, backend="auto")]
         for _ in range(3):
             pairs = [tuple(rng.sample(names, 2)) for _ in range(64)]
             candidates = [

@@ -18,8 +18,8 @@ Three families of guarantees:
   per-candidate path) and objectives, interleaved with applies; and the
   incrementally-maintained ``tasks_on`` membership matches the O(V)
   reference after arbitrary move sequences;
-* **numpy = scalar = analyze** — a hypothesis property suite: under the
-  vectorized numpy kernel backend, every whole-neighbourhood /
+* **fast = scalar = analyze** — a hypothesis property suite: on the
+  fast engine (``auto``: numpy's dense kernels), every whole-neighbourhood /
   swap-pair / population batch returns bit-identical verdicts to the
   scalar kernel *and* to a fresh ``analyze()`` of the explicitly-built
   candidate mapping, across all four buffer-model modes, the test
@@ -44,11 +44,6 @@ from repro.steady_state import (
     analyze,
     compile_graph,
     make_objective,
-    numpy_available,
-)
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy backend unavailable"
 )
 
 MODES = (
@@ -302,9 +297,8 @@ class TestMembership:
             state.tasks_on(99)
 
 
-@needs_numpy
 class TestNumpyBackendProperty:
-    """Hypothesis: numpy kernel == scalar kernel == fresh ``analyze()``.
+    """Hypothesis: fast engine == scalar kernel == fresh ``analyze()``.
 
     Every example builds one random integer-cost graph, mapping, buffer
     mode and platform, then checks the vectorized batches entry for
@@ -332,7 +326,7 @@ class TestNumpyBackendProperty:
         }
         mapping = Mapping(g, platform, assignment)
         scalar = DeltaAnalyzer(mapping, backend="python", **mode)
-        vector = DeltaAnalyzer(mapping, backend="numpy", **mode)
+        vector = DeltaAnalyzer(mapping, backend="auto", **mode)
 
         worst, nviol = vector.score_move_matrix()
         for i, name in enumerate(names):
@@ -381,7 +375,7 @@ class TestNumpyBackendProperty:
         }
         mapping = Mapping(composite, platform, assignment)
         scalar = DeltaAnalyzer(mapping, backend="python")
-        vector = DeltaAnalyzer(mapping, backend="numpy")
+        vector = DeltaAnalyzer(mapping, backend="auto")
 
         rows = vector.evaluate_all_moves(objective=obj)
         for i, name in enumerate(names):

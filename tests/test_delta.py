@@ -30,6 +30,7 @@ from repro.steady_state import (
     buffer_requirements,
     period,
 )
+from repro.steady_state.reference import _local_search_full
 
 #: Platforms cycled through by the randomized tests: the paper's single
 #: Cell, the dual-Cell future-work configuration (exercises BIF link
@@ -214,8 +215,8 @@ class TestLocalSearchEquivalence:
     def test_matches_reference_from_ppe_start(self, seed, qs22):
         g = integer_cost_graph(50 + seed, n_min=10, n_max=14)
         start = Mapping.all_on_ppe(g, qs22)
-        fast = local_search(start, max_rounds=6, use_delta=True)
-        slow = local_search(start, max_rounds=6, use_delta=False)
+        fast = local_search(start, max_rounds=6)
+        slow = _local_search_full(start, 6, True)
         assert fast.to_dict() == slow.to_dict()
         assert period(fast) == period(slow)
 
@@ -223,7 +224,7 @@ class TestLocalSearchEquivalence:
         g = assign_costs(random_topology(14, fat=0.5, seed=8), ccr=1.0, seed=8)
         start = greedy_cpu(g, qs22)
         fast = local_search(start, max_rounds=8)
-        slow = local_search(start, max_rounds=8, use_delta=False)
+        slow = _local_search_full(start, 8, True)
         assert fast.to_dict() == slow.to_dict()
         assert period(fast) == period(slow)
 
@@ -231,7 +232,7 @@ class TestLocalSearchEquivalence:
         g = integer_cost_graph(77, n_min=10, n_max=14)
         start = Mapping.all_on_ppe(g, qs22)
         fast = local_search(start, max_rounds=6, try_swaps=False)
-        slow = local_search(start, max_rounds=6, try_swaps=False, use_delta=False)
+        slow = _local_search_full(start, 6, False)
         assert fast.to_dict() == slow.to_dict()
 
     def test_matches_reference_on_dual_cell(self):
@@ -239,7 +240,7 @@ class TestLocalSearchEquivalence:
         g = integer_cost_graph(33, n_min=8, n_max=12)
         start = Mapping.all_on_ppe(g, platform)
         fast = local_search(start, max_rounds=4)
-        slow = local_search(start, max_rounds=4, use_delta=False)
+        slow = _local_search_full(start, 4, True)
         assert fast.to_dict() == slow.to_dict()
 
 

@@ -21,6 +21,7 @@ from repro.generator import assign_costs, random_topology
 from repro.heuristics import greedy_cpu, local_search
 from repro.platform import CellPlatform
 from repro.steady_state import DeltaAnalyzer, Mapping, analyze, period
+from repro.steady_state.reference import _local_search_full
 
 #: The three mapping-dependent configurations under test.
 MODES = (
@@ -254,6 +255,6 @@ class TestLocalSearchUnderModes:
         g = integer_cost_graph(52, n_min=10, n_max=13)
         start = Mapping.all_on_ppe(g, qs22)
         fast = local_search(start, max_rounds=4, **mode)
-        slow = local_search(start, max_rounds=4, use_delta=False, **mode)
+        slow = _local_search_full(start, 4, True, **mode)
         assert fast.to_dict() == slow.to_dict()
         assert period(fast) == period(slow)

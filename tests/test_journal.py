@@ -40,6 +40,8 @@ from repro.runtime import (
     scheduler_from_config,
     write_checkpoint,
 )
+from repro.runtime import scheduler as scheduler_mod
+from repro.steady_state.reference import _ReferenceState
 from test_chaos import ALL_MODES
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -99,20 +101,20 @@ class TestSnapshotRestore:
             clone.process(event)
         assert_reports_equal(clone.report(), baseline)
 
-    def test_restore_is_backend_agnostic(self, platform):
+    def test_restore_is_backend_agnostic(self, platform, monkeypatch):
         events = scenario(platform, seed=5)
         sched = fresh_scheduler(platform)
         for event in events[:6]:
             sched.process(event)
         state = sched.snapshot_state()
         finals = []
-        for use_delta in (True, False):
-            clone = scheduler_from_config(sched.config(), use_delta=use_delta)
+        for engine in (scheduler_mod.DeltaAnalyzer, _ReferenceState):
+            monkeypatch.setattr(scheduler_mod, "DeltaAnalyzer", engine)
+            clone = scheduler_from_config(sched.config())
             clone.restore_state(state)
             for event in events[6:]:
                 clone.process(event)
             finals.append(clone.report())
-        # The engine name differs by construction; the decisions do not.
         assert finals[0].records == finals[1].records
         assert finals[0].acceptance_rate == finals[1].acceptance_rate
 
@@ -350,7 +352,7 @@ class TestRecovery:
                 recovered.process(event)
             assert_reports_equal(recovered.scheduler.report(), baseline)
 
-    def test_recover_onto_other_backend(self, tmp_path, platform):
+    def test_recover_onto_other_backend(self, tmp_path, platform, monkeypatch):
         events = scenario(platform, seed=17)
         baseline = fresh_scheduler(platform).run(events)
         path = tmp_path / "run.jsonl"
@@ -359,12 +361,10 @@ class TestRecovery:
         )
         for event in events[:6]:
             durable.process(event)
-        with DurableScheduler.recover(
-            path, use_delta=False, fsync=False
-        ) as recovered:
+        monkeypatch.setattr(scheduler_mod, "DeltaAnalyzer", _ReferenceState)
+        with DurableScheduler.recover(path, fsync=False) as recovered:
             for event in events[6:]:
                 recovered.process(event)
-            # The engine name differs; every decision must not.
             assert recovered.scheduler.report().records == baseline.records
 
     def test_recover_without_anything_raises(self, tmp_path):

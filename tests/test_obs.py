@@ -28,7 +28,7 @@ from repro.runtime import (
     ScenarioGenerator,
 )
 from repro.runtime.report import EventRecord
-from repro.steady_state import DeltaAnalyzer, available_backends
+from repro.steady_state import BACKEND_ENV_VAR, available_backends
 
 
 @pytest.fixture(autouse=True)
@@ -253,34 +253,36 @@ class TestLogging:
 # Passivity: metrics on == metrics off, everywhere
 
 STRATEGY_CALLS = {
-    "local_search": lambda g, p, backend: local_search(
-        greedy_cpu(g, p), max_rounds=4, backend=backend
+    "local_search": lambda g, p: local_search(greedy_cpu(g, p), max_rounds=4),
+    "simulated_annealing": lambda g, p: simulated_annealing(
+        g, p, seed=3, iterations=120
     ),
-    "simulated_annealing": lambda g, p, backend: simulated_annealing(
-        g, p, seed=3, iterations=120, backend=backend
-    ),
-    "tabu_search": lambda g, p, backend: tabu_search(
-        g, p, seed=3, rounds=6, backend=backend
-    ),
-    "genetic_algorithm": lambda g, p, backend: genetic_algorithm(
-        g, p, seed=3, generations=3, population_size=10, backend=backend
+    "tabu_search": lambda g, p: tabu_search(g, p, seed=3, rounds=6),
+    "genetic_algorithm": lambda g, p: genetic_algorithm(
+        g, p, seed=3, generations=3, population_size=10
     ),
 }
 
 
+@pytest.fixture
+def kernel(request, monkeypatch):
+    """Select the kernel that resolves to the parametrized label."""
+    label = request.param
+    monkeypatch.setenv(BACKEND_ENV_VAR, "python" if label == "python" else "auto")
+    return label
+
+
 @pytest.mark.parametrize("strategy", sorted(STRATEGY_CALLS))
-@pytest.mark.parametrize("backend", available_backends())
-def test_strategy_mapping_identical_with_metrics(
-    graph, qs22, strategy, backend
-):
+@pytest.mark.parametrize("kernel", available_backends(), indirect=True)
+def test_strategy_mapping_identical_with_metrics(graph, qs22, strategy, kernel):
     """Instrumented runs must emit bit-identical mappings: recording a
     counter or a span never consumes randomness or perturbs scores."""
     run = STRATEGY_CALLS[strategy]
-    baseline = run(graph, qs22, backend)
+    baseline = run(graph, qs22)
     metrics.enable(MetricsRegistry())
     tracing.start(tracing.Tracer())
     try:
-        instrumented = run(graph, qs22, backend)
+        instrumented = run(graph, qs22)
     finally:
         tracing.stop()
         metrics.disable()
@@ -288,14 +290,14 @@ def test_strategy_mapping_identical_with_metrics(
     assert instrumented.to_json() == baseline.to_json()
 
 
-@pytest.mark.parametrize("backend", available_backends())
-def test_strategy_counters_deterministic(graph, qs22, backend):
+@pytest.mark.parametrize("kernel", available_backends(), indirect=True)
+def test_strategy_counters_deterministic(graph, qs22, kernel):
     """Counter totals are decision counts: two identical runs agree."""
 
     def run_counted():
         registry = metrics.enable(MetricsRegistry())
         try:
-            tabu_search(graph, qs22, seed=5, rounds=5, backend=backend)
+            tabu_search(graph, qs22, seed=5, rounds=5)
         finally:
             metrics.disable()
         return registry.counters
@@ -303,7 +305,7 @@ def test_strategy_counters_deterministic(graph, qs22, backend):
     first, second = run_counted(), run_counted()
     assert first == second
     assert first["moves_scored"] > 0
-    assert first[f"backend_dispatches.{backend}"] >= 1
+    assert first[f"backend_dispatches.{kernel}"] >= 1
 
 
 def test_scheduler_report_identical_with_metrics(qs22):

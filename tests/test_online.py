@@ -41,8 +41,10 @@ from repro.runtime import (
     timeline_loads,
     validate_timeline,
 )
+from repro.runtime import scheduler as scheduler_mod
 from repro.runtime.scenario import solo_period_bound
 from repro.steady_state import Mapping, analyze
+from repro.steady_state.reference import _ReferenceState
 
 #: The four buffer-model configurations the evaluation engine supports.
 ALL_MODES = (
@@ -217,23 +219,19 @@ class TestEndToEndAcceptance:
         assert play(11) == play(11)
         assert play(11) != play(12)
 
-    def test_delta_matches_reference_path(self, platform):
-        """use_delta=False (full analyze per candidate) must take the
-        exact same decisions on integer-cost graphs."""
-        def play(use_delta):
+    def test_delta_matches_reference_path(self, platform, monkeypatch):
+        """The full-analyze() oracle, substituted for the delta engine,
+        must take the exact same decisions on integer-cost graphs."""
+        def play():
             events = ScenarioGenerator(platform, seed=5, load=2.5).generate(20)
-            sched = OnlineScheduler(
-                platform, migration_budget=2, use_delta=use_delta
-            )
+            sched = OnlineScheduler(platform, migration_budget=2)
             report = sched.run(events)
             return report, sched.assignment()
 
-        fast_report, fast_assign = play(True)
-        slow_report, slow_assign = play(False)
-        # The engine label differs by design; the timeline must not.
-        assert fast_report.kernel_backend != "reference"
-        assert slow_report.kernel_backend == "reference"
-        assert fast_report.records == slow_report.records
+        fast_report, fast_assign = play()
+        monkeypatch.setattr(scheduler_mod, "DeltaAnalyzer", _ReferenceState)
+        slow_report, slow_assign = play()
+        assert fast_report == slow_report
         assert fast_assign == slow_assign
 
     def test_multi_cell_platform(self):

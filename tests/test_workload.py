@@ -30,6 +30,7 @@ from repro.steady_state import (
     make_objective,
 )
 from repro.steady_state.objective import reference_periods
+from repro.steady_state.reference import _local_search_full
 
 #: The four buffer-model configurations the delta engine supports.
 ALL_MODES = (
@@ -463,18 +464,14 @@ class TestObjectiveHeuristics:
         assert after <= before
 
     def test_local_search_full_path_matches_delta_path(self, composite):
-        """The reference (use_delta=False) path ranks by the same values."""
+        """The full-analyze() oracle ranks by the same values."""
         platform = CellPlatform.qs22().with_spes(2)
         start = Mapping.all_on_ppe(composite, platform)
         fast = local_search(
             start, max_rounds=2, try_swaps=False, objective="max_stretch"
         )
-        slow = local_search(
-            start,
-            max_rounds=2,
-            try_swaps=False,
-            use_delta=False,
-            objective="max_stretch",
+        slow = _local_search_full(
+            start, 2, False, obj=make_objective("max_stretch", composite)
         )
         assert fast.to_dict() == slow.to_dict()
 
