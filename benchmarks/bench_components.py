@@ -17,7 +17,7 @@ from repro.heuristics import critical_path_mapping, greedy_cpu, greedy_mem, loca
 from repro.platform import CellPlatform
 from repro.simulator import FlowNetwork, SimConfig, simulate
 from repro.steady_state import DeltaAnalyzer, analyze, build_schedule
-from repro.steady_state.reference import _local_search_full
+from repro.steady_state.reference import _local_search_eager, _local_search_full
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +126,36 @@ def test_local_search_delta_speedup(mapping):
     assert t_full >= 10.0 * t_delta, (
         f"delta path only {t_full / t_delta:.1f}x faster "
         f"({t_delta * 1e3:.1f} ms vs {t_full * 1e3:.1f} ms)"
+    )
+
+
+def test_two_phase_local_search_speedup(mapping):
+    """Acceptance: two-phase selection >= 5x faster than the eager scan.
+
+    ``local_search`` on graph 1 / QS22 with both mapping-dependent
+    buffer flags, against ``_local_search_eager`` (every candidate's
+    exact verdict, buffer model included), best of 3 each.  The two must
+    return the same mapping; the ratio is asserted unless
+    REPRO_BENCH_NO_TIMING_ASSERT is set.
+    """
+    flags = dict(elide_local_comm=True, merge_same_pe_buffers=True)
+
+    def best_of(n, search):
+        times, results = [], []
+        for _ in range(n):
+            start = time.perf_counter()
+            results.append(search(mapping, **flags))
+            times.append(time.perf_counter() - start)
+        return min(times), results[-1]
+
+    t_fast, fast = best_of(3, local_search)
+    t_eager, eager = best_of(3, _local_search_eager)
+    assert fast.to_dict() == eager.to_dict()
+    if os.environ.get("REPRO_BENCH_NO_TIMING_ASSERT"):
+        return
+    assert t_eager >= 5.0 * t_fast, (
+        f"two-phase selection only {t_eager / t_fast:.1f}x faster "
+        f"({t_fast * 1e3:.1f} ms vs {t_eager * 1e3:.1f} ms)"
     )
 
 

@@ -16,14 +16,18 @@ approach the optimal throughput"; these are our take on that future work:
 
 All full-neighbourhood scans (``local_search`` moves and swaps, every
 ``tabu_search`` round, :func:`budgeted_descent`) go through the delta
-engine's **whole-neighbourhood** batch API — ``evaluate_all_moves`` /
-``evaluate_swaps`` / ``best_move`` — so in the default buffer model
-each round is a handful of dense matrix passes instead of a Python loop
-over candidates; the GA scores random immigrants and whole generations
+engine's **two-phase selection** — ``best_candidate`` / ``best_move``:
+phase 1 ranks every candidate by its value in a handful of dense matrix
+passes (scalar sweeps under ``python``), without the mapping-dependent
+buffer model; phase 2 scores exactly only the candidates that can win
+(a lookup in the default buffer model, where the dense verdicts are
+already exact).  The GA scores random immigrants and whole generations
 through the population-level ``score_assignments`` /
-``evaluate_assignments`` pass the same way.  ``simulated_annealing``
-proposes one random candidate at a time, so its ``evaluate_move`` calls
-hit the scalar kernel with a single-target sweep.  The kernel is picked
+``evaluate_assignments`` pass; its mutation needs every target's
+verdict, so it stays on the batched ``evaluate_moves`` sweep.
+``simulated_annealing`` proposes one random candidate at a time, so its
+``evaluate_move`` calls hit the scalar kernel with a single-target
+sweep.  The kernel is picked
 per process (``REPRO_KERNEL_BACKEND``, see
 :mod:`repro.steady_state.backend`); every strategy returns the same
 mapping on every kernel.
@@ -208,10 +212,13 @@ def local_search(
     task-pair swap) and applies the best strictly-improving *feasible* one;
     stops at a local optimum or after ``max_rounds``.
 
-    Candidates are scored incrementally by :class:`DeltaAnalyzer` in
-    O(deg(task)) each; their scores agree with a full ``analyze()`` of
-    the candidate exactly for integer-valued costs and to within one
-    ulp otherwise (see delta.py).
+    Each round is one :meth:`DeltaAnalyzer.best_candidate` call: every
+    candidate is ranked by its value in one batched pass, and only those
+    that can win are scored exactly — under the mapping-dependent buffer
+    models that is where the per-candidate buffer derivation goes.  The
+    choice is the one an eager scan of every candidate makes; scores
+    agree with a full ``analyze()`` of the candidate exactly for
+    integer-valued costs and to within one ulp otherwise (see delta.py).
 
     ``elide_local_comm`` / ``merge_same_pe_buffers`` switch to the
     corresponding mapping-dependent buffer model; ``objective`` switches
@@ -224,49 +231,22 @@ def local_search(
         merge_same_pe_buffers=merge_same_pe_buffers,
     )
     current_value = state.evaluate(obj).value if state.feasible else float("inf")
-    platform = mapping.platform
-    names = mapping.graph.task_names()
-    n_pes = platform.n_pes
 
     for rnd in range(max_rounds):
         with _span("strategy:local_search.round", round=rnd):
-            best: Optional[Tuple[str, ...]] = None
-            best_value = current_value
-            # One dense pass over the whole move neighbourhood (every
-            # task × every PE): a single masked cost-matrix kernel call
-            # on the fast engine, per-task batched sweeps on the scalar
-            # one.
-            all_scores = state.evaluate_all_moves(objective=obj)
-            for i, name in enumerate(names):
-                origin = state.pe_of(name)
-                scores = all_scores[i]
-                for pe in range(n_pes):
-                    if pe == origin:
-                        continue
-                    score = scores[pe]
-                    if score.feasible and score.value < best_value:
-                        best, best_value = ("move", name, pe), score.value
-            if try_swaps:
-                # Same deal for the swap neighbourhood: all distinct-PE
-                # pairs scored by one pairwise kernel pass, in the exact
-                # (a_idx < b_idx) visit order of the reference loops.
-                pairs = [
-                    (names[a_idx], names[b_idx])
-                    for a_idx in range(len(names))
-                    for b_idx in range(a_idx + 1, len(names))
-                    if state.pe_of(names[a_idx]) != state.pe_of(names[b_idx])
-                ]
-                for pair, score in zip(
-                    pairs, state.evaluate_swaps(pairs, obj)
-                ):
-                    if score.feasible and score.value < best_value:
-                        best, best_value = ("swap", *pair), score.value
-            if best is None:
+            # Every move, then every distinct-PE swap: the best feasible
+            # candidate strictly below the current value, earliest in
+            # visit order on ties.
+            found = state.best_candidate(
+                objective=obj, bound=current_value, swaps=try_swaps
+            )
+            if found is None:
                 break
-            if best[0] == "move":
-                state.apply_move(best[1], int(best[2]))
+            task, pe, partner, _score = found
+            if partner is None:
+                state.apply_move(task, pe)
             else:
-                state.apply_swap(best[1], best[2])
+                state.apply_swap(task, partner)
             # One O(V+E) rebuild per round: re-anchors the incremental
             # sums so the scores of the next round match a fresh
             # analyze() exactly.
@@ -460,10 +440,11 @@ def tabu_search(
 ) -> Mapping:
     """Tabu search over single-task moves under ``objective``.
 
-    Each round scores the full move neighbourhood with
-    :class:`DeltaAnalyzer` and applies the best feasible move — even a
-    worsening one, which lets the search climb out of the local optima
-    where :func:`local_search` stops.  Recently moved tasks are tabu for
+    Each round picks the best feasible move of the full neighbourhood
+    with :meth:`DeltaAnalyzer.best_candidate` (rows in a seeded shuffled
+    order, so ties diversify) and applies it — even a worsening one,
+    which lets the search climb out of the local optima where
+    :func:`local_search` stops.  Recently moved tasks are tabu for
     ``tenure`` rounds unless the move beats the best value seen so far
     (aspiration).  Starts feasible and only ever visits feasible states,
     so the returned mapping is never infeasible.  Feasibility follows the
@@ -496,29 +477,16 @@ def tabu_search(
         with _span("strategy:tabu_search.round", round=rnd):
             scan = list(names)
             rng.shuffle(scan)  # deterministic per seed; diversifies ties
-            best_move: Optional[Tuple[str, int]] = None
-            best_move_value = float("inf")
-            # The whole round's neighbourhood in one dense pass, rows in
-            # the shuffled scan order so tie wins match the per-task
-            # loops.
-            all_scores = state.evaluate_all_moves(scan, objective=obj)
-            for i, name in enumerate(scan):
-                origin = state.pe_of(name)
-                is_tabu = tabu_until.get(name, 0) > rnd
-                scores = all_scores[i]
-                for pe in range(n_pes):
-                    if pe == origin:
-                        continue
-                    score = scores[pe]
-                    if not score.feasible:
-                        continue
-                    if is_tabu and score.value >= best_value:
-                        continue  # tabu, and no aspiration
-                    if score.value < best_move_value:
-                        best_move, best_move_value = (name, pe), score.value
-            if best_move is None:
+            # Tabu tasks only move when they beat the best value seen
+            # (aspiration); the rest take the best feasible move.
+            bounds = [
+                best_value if tabu_until.get(name, 0) > rnd else math.inf
+                for name in scan
+            ]
+            found = state.best_candidate(scan, objective=obj, bound=bounds)
+            if found is None:
                 break  # neighbourhood exhausted (tabu and non-aspiring)
-            name, pe = best_move
+            name, pe, _partner, _score = found
             state.apply_move(name, pe)
             applied += 1
             if applied % _RESYNC_EVERY == 0:

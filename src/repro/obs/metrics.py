@@ -30,6 +30,8 @@ Named metrics (the fixed vocabulary the instrumented layers emit):
 ==============================  =========================================
 ``moves_scored``                single-task move candidates scored
 ``swaps_scored``                task-pair swap candidates scored
+``candidates_ranked``           two-phase selection: candidates ranked
+``candidates_confirmed``        two-phase selection: exact re-scorings
 ``bulk_changes``                bulk change-sets / assignments scored
 ``resyncs``                     O(V+E) state re-anchors
 ``backend_dispatches.<name>``   analyzer constructions per kernel backend

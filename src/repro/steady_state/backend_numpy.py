@@ -29,12 +29,18 @@ branches:
 
 Only the **default buffer model** is vectorized; the mapping-dependent
 modes (``elide_local_comm``/``merge_same_pe_buffers``) re-derive
-per-task footprints per candidate, so analyzers in those modes build no
-dense kernel and score through the scalar (or compiled) paths.
+per-task footprints per candidate, so their public batch APIs score
+through the scalar (or compiled) paths.  Their two-phase neighbourhood
+selection (``DeltaAnalyzer.best_candidate``) still ranks candidates
+with a private kernel built on first use, reading only the
+buffer-independent ``worst``/``aworst`` terms: its ``nviol`` there
+counts the default model's violations against the live buffers and is
+never read.
 """
 
 from __future__ import annotations
 
+import weakref
 from types import SimpleNamespace
 from typing import Sequence
 
@@ -143,7 +149,10 @@ class NumpyKernel:
     """
 
     def __init__(self, analyzer) -> None:
-        self.an = analyzer
+        # A proxy, not a reference: the analyzer owns its kernel, and a
+        # reference cycle would leave every retired analyzer (GA
+        # generations, per-solve states) to the cyclic collector.
+        self.an = weakref.proxy(analyzer)
         cg = analyzer._cg
         self.cg = cg
         self.g = cg.arrays()
@@ -309,7 +318,7 @@ class NumpyKernel:
         need = an._need
         if need is self.cg.need_default:
             s.need = self.g.need_default
-        else:  # pragma: no cover - kernels run in default mode only
+        else:  # a mapping-dependent analyzer's ranking mirror
             s.need = np.asarray(need, _F64)
         if self.multi:
             link = np.zeros((self.n_cells, self.n_cells), _F64)

@@ -54,12 +54,40 @@ neighbour walk ``n_pes`` times.  :meth:`score_moves` /
 task's incident edges are aggregated by neighbour PE once (O(deg)), the
 two highest cached peaks outside the origin are found once (O(n_pes)),
 and each candidate then costs O(1) arithmetic — no dictionaries, no
-re-walk.  :meth:`best_move` applies the same kernel across a whole
-move neighbourhood (the ``budgeted_descent`` / online-admission
-primitive).  Under the mapping-dependent buffer models (below) a move's
-cost is inherently target-dependent (the ``firstPeriod`` cone shifts),
-so the batched entry points transparently fall back to the per-candidate
-delta path — same results, still integer-indexed.
+re-walk.  Under the mapping-dependent buffer models (below) a move's
+buffer cost is inherently target-dependent (the ``firstPeriod`` cone
+shifts), so the public batched entry points score each candidate
+through the exact per-candidate delta path — same results, still
+integer-indexed.
+
+Two-phase neighbourhood selection
+---------------------------------
+
+A search step needs one candidate, not every verdict.
+:meth:`best_candidate` (the ``local_search`` / ``tabu_search`` step)
+and :meth:`best_move` (the ``budgeted_descent`` / online-admission
+primitive) therefore select in two phases:
+
+1. **rank** every candidate by its objective value, computed *without*
+   the mapping-dependent buffer model — the period never depends on it;
+   the model only decides the local-store constraint (1i).  Under
+   ``auto`` the values come from the dense kernel's ``worst`` /
+   ``aworst`` matrices (a mapping-dependent analyzer builds a private
+   dense mirror on first use, whose violation terms are never read);
+   under ``python``, and for swaps on multi-Cell platforms, from the
+   scalar per-candidate path with the buffer derivation skipped — the
+   same floats as the exact path;
+2. **confirm** the candidates that pass the caller's bound in (value,
+   visit order) order through the unchanged exact path, and return the
+   first feasible one with its exact score.
+
+The pick is the one an eager scan keeping the strictly-best feasible
+candidate makes (bit-for-bit under ``python``; under ``auto`` the
+ranking inherits the dense kernel's ulp contract on non-integer graphs,
+while every verdict stays exact).  In the default buffer model the
+dense verdicts are already exact, so phase 2 is a lookup.  The
+``candidates_ranked`` / ``candidates_confirmed`` metrics count the two
+phases.
 
 Mapping-dependent buffer modes
 ------------------------------
@@ -117,7 +145,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from ..errors import MappingError
 from ..obs import metrics as _metrics
@@ -332,6 +360,9 @@ class DeltaAnalyzer:
         self._ck = self._make_ckernel()
         self._rebuild()
         self._kernel = self._make_kernel()
+        #: Dense ranking mirror of a mapping-dependent analyzer, built on
+        #: first use by the two-phase selection (see :meth:`_ranker`).
+        self._rank_mirror = None
 
     def _make_kernel(self):
         """The dense numpy batch kernel: fast engine, default buffer
@@ -553,6 +584,7 @@ class DeltaAnalyzer:
         new.backend = self.backend
         new._ck = new._make_ckernel()
         new._kernel = new._make_kernel()
+        new._rank_mirror = None
         return new
 
     def compatible_with(self, other: "DeltaAnalyzer") -> bool:
@@ -885,8 +917,17 @@ class DeltaAnalyzer:
             return None
         return self._deltas_ids(moved)
 
-    def _deltas_ids(self, moved: Dict[int, int]) -> _Deltas:
-        """Deltas for a non-empty, pre-validated tid → PE move set."""
+    def _deltas_ids(
+        self, moved: Dict[int, int], with_buffers: bool = True
+    ) -> _Deltas:
+        """Deltas for a non-empty, pre-validated tid → PE move set.
+
+        ``with_buffers=False`` skips the buffer model (no ``d_buf``, no
+        ``_buffer_deltas`` derivation): the result then serves only
+        :meth:`_candidate_period` / :meth:`_value` — the period never
+        depends on the buffer model — and must not be scored for
+        violations or applied.
+        """
         cg = self._cg
         pe_list = self._pe
         is_ppe, is_spe, cell = self._is_ppe, self._is_spe, self._cell
@@ -931,7 +972,7 @@ class DeltaAnalyzer:
                 da_in[kn] = da_in.get(kn, 0.0) + read[t]
                 da_out[ko] = da_out.get(ko, 0.0) - write[t]
                 da_out[kn] = da_out.get(kn, 0.0) + write[t]
-            if not self._mapping_dependent:
+            if with_buffers and not self._mapping_dependent:
                 need = self._need[t]
                 if is_spe[old_pe]:
                     d_buf[old_pe] = d_buf.get(old_pe, 0.0) - need
@@ -989,7 +1030,7 @@ class DeltaAnalyzer:
                         da_link_n[akey] = da_link_n.get(akey, 0) + 1
 
         bufmodel: Optional[_BufModel] = None
-        if self._mapping_dependent:
+        if with_buffers and self._mapping_dependent:
             bufmodel, d_buf = self._buffer_deltas(moved)
 
         appdeltas: Optional[_AppDeltas] = None
@@ -1026,10 +1067,22 @@ class DeltaAnalyzer:
     def _score(self, deltas: Optional[_Deltas]) -> MoveScore:
         if deltas is None:
             return self.score()
-        (_moved, d_compute, d_in, d_out, d_buf,
-         d_dma_in, d_dma_proxy, d_link, _d_link_n, _bufmodel,
+        (_moved, _d_compute, _d_in, _d_out, d_buf,
+         d_dma_in, d_dma_proxy, _d_link, _d_link_n, _bufmodel,
          _appdeltas) = deltas
+        worst = self._candidate_period(deltas)
+        n_violations = self._n_violations + self._violation_shift(
+            d_buf, d_dma_in, d_dma_proxy
+        )
+        return MoveScore(
+            period=worst, feasible=n_violations == 0, n_violations=n_violations
+        )
 
+    def _candidate_period(self, deltas: _Deltas) -> float:
+        """Period of the hypothetical state ``deltas`` describes."""
+        (_moved, d_compute, d_in, d_out, _d_buf,
+         _d_dma_in, _d_dma_proxy, d_link, _d_link_n, _bufmodel,
+         _appdeltas) = deltas
         bw = self._bw
         compute, in_bytes, out_bytes = self._compute, self._in_bytes, self._out_bytes
         peak = self._peak
@@ -1058,13 +1111,7 @@ class DeltaAnalyzer:
                 time = (link.get(key, 0.0) + d_link.get(key, 0.0)) / self._bif_bw
                 if time > worst:
                     worst = time
-
-        n_violations = self._n_violations + self._violation_shift(
-            d_buf, d_dma_in, d_dma_proxy
-        )
-        return MoveScore(
-            period=worst, feasible=n_violations == 0, n_violations=n_violations
-        )
+        return worst
 
     def _candidate_app_periods(
         self, deltas: Optional[_Deltas]
@@ -1117,26 +1164,42 @@ class DeltaAnalyzer:
                     out[app] = time
         return out
 
+    def _value(
+        self, period: float, deltas: Optional[_Deltas], objective
+    ) -> float:
+        """Objective value of the candidate ``deltas`` describes."""
+        if objective is None:
+            return period
+        if not getattr(objective, "needs_app_periods", False):
+            return objective.value(period, None)
+        return objective.value(period, self._candidate_app_periods(deltas))
+
     def _evaluate(self, deltas: Optional[_Deltas], objective) -> ObjectiveScore:
         score = self._score(deltas)
-        if objective is None or not getattr(
-            objective, "needs_app_periods", False
-        ):
-            value = (
-                score.period
-                if objective is None
-                else objective.value(score.period, None)
-            )
-        else:
-            value = objective.value(
-                score.period, self._candidate_app_periods(deltas)
-            )
         return ObjectiveScore(
-            value=value,
+            value=self._value(score.period, deltas, objective),
             period=score.period,
             feasible=score.feasible,
             n_violations=score.n_violations,
         )
+
+    def _evaluate_ids(self, moved: Dict[int, int], objective) -> ObjectiveScore:
+        """Exact objective score of a pre-validated tid → PE move set —
+        the per-candidate path of ``evaluate_move``/``evaluate_swap``
+        (native under the ``cython`` backend), without the metrics."""
+        if not moved:
+            return self._evaluate(None, objective)
+        if self._ck is not None and not getattr(
+            objective, "needs_app_periods", False
+        ):
+            period, nviol = self._ck.score_ids(moved)
+            return ObjectiveScore(
+                value=self._value(period, None, objective),
+                period=period,
+                feasible=nviol == 0,
+                n_violations=nviol,
+            )
+        return self._evaluate(self._deltas_ids(moved), objective)
 
     def _apply(self, deltas: Optional[_Deltas]) -> None:
         if deltas is None:
@@ -1612,20 +1675,6 @@ class DeltaAnalyzer:
             period=period, feasible=nviol == 0, n_violations=nviol
         )
 
-    def _ck_evaluate(self, changes: Dict[str, int], objective) -> ObjectiveScore:
-        score = self._ck_score(changes)
-        value = (
-            score.period
-            if objective is None
-            else objective.value(score.period, None)
-        )
-        return ObjectiveScore(
-            value=value,
-            period=score.period,
-            feasible=score.feasible,
-            n_violations=score.n_violations,
-        )
-
     def _ck_apply(self, changes: Dict[str, int]) -> None:
         moved = self._to_moved(changes)
         if moved:
@@ -1777,17 +1826,12 @@ class DeltaAnalyzer:
                 f"task {task!r} moved to invalid PE {pe!r} "
                 f"(platform has {self._n_pes} PEs)"
             )
-        if self._ck is not None and not getattr(
-            objective, "needs_app_periods", False
+        if self._mapping_dependent or (
+            self._ck is not None
+            and not getattr(objective, "needs_app_periods", False)
         ):
-            if pe == self._pe[tid]:
-                return self._evaluate(None, objective)
-            return self._ck_evaluate({task: pe}, objective)
-        if self._mapping_dependent:
-            deltas = (
-                None if pe == self._pe[tid] else self._deltas_ids({tid: pe})
-            )
-            return self._evaluate(deltas, objective)
+            moved = {} if pe == self._pe[tid] else {tid: pe}
+            return self._evaluate_ids(moved, objective)
         return self._sweep(tid, (pe,), objective, True)[0]
 
     def evaluate_moves(
@@ -1822,11 +1866,7 @@ class DeltaAnalyzer:
         if reg is not None:
             reg.inc("swaps_scored")
         changes = {a: self.pe_of(b), b: self.pe_of(a)}
-        if self._ck is not None and not getattr(
-            objective, "needs_app_periods", False
-        ):
-            return self._ck_evaluate(changes, objective)
-        return self._evaluate(self._deltas(changes), objective)
+        return self._evaluate_ids(self._to_moved(changes), objective)
 
     def evaluate_changes(
         self, changes: Dict[str, int], objective=None
@@ -1835,11 +1875,7 @@ class DeltaAnalyzer:
         reg = _metrics.REGISTRY
         if reg is not None:
             reg.inc("bulk_changes")
-        if self._ck is not None and not getattr(
-            objective, "needs_app_periods", False
-        ):
-            return self._ck_evaluate(dict(changes), objective)
-        return self._evaluate(self._deltas(dict(changes)), objective)
+        return self._evaluate_ids(self._to_moved(dict(changes)), objective)
 
     @_traced("kernel:best_move")
     def best_move(
@@ -1852,7 +1888,8 @@ class DeltaAnalyzer:
         """The best feasible single-task move over a whole neighbourhood.
 
         Scans ``tasks`` (default: all) × ``pes`` (default: all) through
-        the batched kernel and returns ``(task, pe, score)`` for the
+        the batched kernel (the two-phase selection in the
+        mapping-dependent modes) and returns ``(task, pe, score)`` for the
         candidate minimising ``(value, period)`` *strictly below* the
         current state's — or ``None`` at a local optimum.  Candidates
         whose period exceeds ``period_cap`` are skipped unless they still
@@ -1903,6 +1940,28 @@ class DeltaAnalyzer:
             i, j = divmod(flat, len(pes))
             score = ObjectiveScore(value, value, True, 0)
             return tasks[i], pes[j], score
+        if self._mapping_dependent:
+            # Same key, same tie rule, through the two-phase selection:
+            # the buffer model is derived only for candidates that can win.
+            pes = list(pes)
+            if not full[1]:
+                self._check_pes(pes)
+            tids = [self._tid(name) for name in tasks]
+            best_value, best_period = best_key
+
+            def admit(value, period, _row):
+                return (
+                    (value < best_value)
+                    | ((value == best_value) & (period < best_period))
+                ) & ((period <= cap) | (period < cur_period))
+
+            found = self._select(
+                tids, pes, full, objective, admit, by_period=True
+            )
+            if found is None:
+                return None
+            tid, pe, _partner, score = found
+            return self._cg.names[tid], pe, score
         for name in tasks:
             origin = self._pe[self._tid(name)]
             scores = self.evaluate_moves(name, pes, objective)
@@ -1915,6 +1974,279 @@ class DeltaAnalyzer:
                 if key < best_key:
                     best, best_key = (name, pe, score), key
         return best
+
+    # ------------------------------------------------------------------ #
+    # Two-phase neighbourhood selection
+
+    def _ranker(self):
+        """The dense kernel phase 1 ranks with, or ``None`` (scalar).
+
+        A default-mode analyzer's own batch kernel.  A mapping-dependent
+        analyzer has none — its public batch APIs stay on the exact
+        per-candidate path — so it builds a private mirror here on first
+        use (never in :meth:`clone` / :meth:`copy_from`) and reads only
+        its ``worst``/``aworst`` terms: the period does not depend on the
+        buffer model, while the mirror's ``nviol`` assumes the default one.
+        """
+        if self._kernel is not None or self.backend == "python":
+            return self._kernel
+        if self._rank_mirror is None:
+            from .backend_numpy import NumpyKernel
+
+            self._rank_mirror = NumpyKernel(self)
+        return self._rank_mirror
+
+    def _rank_moves(self, tids, pes, full, objective):
+        """Phase 1 over the moves of ``tids`` to ``pes``.
+
+        Returns ``(value, period, nviol, origin)`` arrays shaped
+        ``len(tids) × len(pes)``, holding the floats the eager batch APIs
+        produce: the dense ``move_matrix`` where ``evaluate_all_moves``
+        uses it, else the scalar kernel.  In the mapping-dependent modes
+        the buffer model is skipped and ``nviol`` is ``None``.
+        """
+        import numpy as np
+
+        md = self._mapping_dependent
+        k, m = len(tids), len(pes)
+        ranker = self._ranker()
+        if ranker is not None and k >= self._VECTOR_MIN_TASKS:
+            cg = self._cg
+            track_app = (
+                objective is not None
+                and getattr(objective, "needs_app_periods", False)
+                and cg.app_index is not None
+            )
+            res = ranker.move_matrix(
+                None if full[0] else tids, None if full[1] else pes, track_app
+            )
+            worst = res.worst
+            if objective is None or isinstance(objective, PeriodObjective):
+                value = worst
+            else:
+                value = np.full_like(worst, math.inf)
+                base_app = self.app_periods() if track_app else None
+                for i, tid in enumerate(tids):
+                    for j in range(m):
+                        if res.origin[i, j]:
+                            continue
+                        w = float(worst[i, j])
+                        if not track_app:
+                            value[i, j] = objective.value(w, None)
+                            continue
+                        ap = dict(base_app)
+                        ap[cg.app_names[cg.app_index[tid]]] = float(
+                            res.aworst[i, j]
+                        )
+                        value[i, j] = objective.value(w, ap)
+            return value, worst, None if md else res.nviol, res.origin
+        value = np.full((k, m), math.inf)
+        period = np.full((k, m), math.inf)
+        nviol = None if md else np.zeros((k, m), np.int64)
+        origin = np.zeros((k, m), bool)
+        pe_list = self._pe
+        for i, tid in enumerate(tids):
+            o = pe_list[tid]
+            if not md:
+                for j, score in enumerate(self._sweep(tid, pes, objective, True)):
+                    value[i, j], period[i, j] = score.value, score.period
+                    nviol[i, j] = score.n_violations
+                    origin[i, j] = pes[j] == o
+                continue
+            for j, pe in enumerate(pes):
+                if pe == o:
+                    origin[i, j] = True
+                    continue
+                deltas = self._deltas_ids({tid: pe}, with_buffers=False)
+                period[i, j] = p = self._candidate_period(deltas)
+                value[i, j] = self._value(p, deltas, objective)
+        return value, period, nviol, origin
+
+    def _rank_swaps(self, ta, tb, objective):
+        """Phase 1 over the swaps ``(ta[s], tb[s])`` (distinct PEs).
+
+        Returns ``(value, period, nviol)`` arrays — the dense
+        ``swap_matrix`` where ``evaluate_swaps`` uses it, else the
+        per-pair path; ``nviol`` is ``None`` in the mapping-dependent
+        modes, whose per-pair path skips the buffer model.
+        """
+        import numpy as np
+
+        md = self._mapping_dependent
+        ranker = self._ranker()
+        if (
+            ranker is not None
+            and not self._multi
+            and len(ta) >= self._VECTOR_MIN_TASKS
+            and not getattr(objective, "needs_app_periods", False)
+        ):
+            worst, nviol, _same = ranker.swap_matrix(ta, tb)
+            if objective is None or isinstance(objective, PeriodObjective):
+                value = worst
+            else:
+                value = np.array(
+                    [objective.value(float(w), None) for w in worst]
+                )
+            return value, worst, None if md else nviol
+        value = np.empty(len(ta))
+        period = np.empty(len(ta))
+        nviol = None if md else np.empty(len(ta), np.int64)
+        pe_list = self._pe
+        for s, (a, b) in enumerate(zip(ta, tb)):
+            moved = {a: pe_list[b], b: pe_list[a]}
+            if md:
+                deltas = self._deltas_ids(moved, with_buffers=False)
+                period[s] = p = self._candidate_period(deltas)
+                value[s] = self._value(p, deltas, objective)
+            else:
+                score = self._evaluate_ids(moved, objective)
+                value[s], period[s] = score.value, score.period
+                nviol[s] = score.n_violations
+        return value, period, nviol
+
+    def _select(
+        self, tids, pes, full, objective, admit, swaps=False, by_period=False
+    ):
+        """Two-phase selection over a move (and swap) neighbourhood.
+
+        **Phase 1** ranks every candidate — the moves of ``tids`` to
+        ``pes`` in visit order, then with ``swaps`` the distinct-PE pairs
+        of ``tids`` in ``(a_idx < b_idx)`` order — by its value, computed
+        without the mapping-dependent buffer model (:meth:`_rank_moves`,
+        :meth:`_rank_swaps`; ``full`` flags ``tids``/``pes`` that are the
+        whole task/PE range).  ``admit(value, period, row)`` is the
+        caller's bound (vectorized; ``row`` indexes ``tids`` for moves
+        and is ``None`` for swaps).  **Phase 2** walks the admitted
+        candidates in ``(value[, period], visit order)`` order, scores
+        each one through the exact per-candidate path
+        (:meth:`_evaluate_ids`) and returns the first that is feasible
+        and still admitted: ``(tid, pe, partner_tid, score)``, with
+        ``partner_tid`` ``None`` for a move.  That is the candidate an
+        eager scan keeping the strictly-best feasible value picks.  In
+        the default buffer model phase 1's verdicts are already exact,
+        so phase 2 is a lookup.
+        """
+        import numpy as np
+
+        value, period, nviol, origin = self._rank_moves(
+            tids, pes, full, objective
+        )
+        k, m = len(tids), len(pes)
+        n_moves = k * m
+        value, period, origin = value.ravel(), period.ravel(), origin.ravel()
+        ok = ~origin & admit(value, period, np.repeat(np.arange(k), m))
+        if nviol is not None:
+            nviol = nviol.ravel()
+        ta: List[int] = []
+        tb: List[int] = []
+        if swaps:
+            tid_arr = np.asarray(tids, np.int64)
+            host = np.asarray(self._pe, np.int64)[tid_arr]
+            ia, ib = np.triu_indices(k, 1)
+            keep = host[ia] != host[ib]
+            ta = tid_arr[ia[keep]].tolist()
+            tb = tid_arr[ib[keep]].tolist()
+            s_value, s_period, s_nviol = self._rank_swaps(ta, tb, objective)
+            ok = np.concatenate([ok, admit(s_value, s_period, None)])
+            value = np.concatenate([value, s_value])
+            period = np.concatenate([period, s_period])
+            if nviol is not None:
+                nviol = np.concatenate([nviol, s_nviol])
+        reg = _metrics.REGISTRY
+        if reg is not None:
+            reg.inc("moves_scored", n_moves)
+            if swaps:
+                reg.inc("swaps_scored", len(ta))
+            reg.inc("candidates_ranked", n_moves + len(ta))
+        if nviol is not None:
+            ok &= nviol == 0
+        idx = np.flatnonzero(ok)
+        if not idx.size:
+            return None
+        keys = (idx, period[idx], value[idx]) if by_period else (idx, value[idx])
+        pe_list = self._pe
+        for c in idx[np.lexsort(keys)].tolist():
+            if c < n_moves:
+                row, j = divmod(c, m)
+                tid, pe, partner = tids[row], pes[j], None
+                moved = {tid: pe}
+            else:
+                row = None
+                tid, partner = ta[c - n_moves], tb[c - n_moves]
+                pe = pe_list[partner]
+                moved = {tid: pe, partner: pe_list[tid]}
+            if nviol is not None:
+                score = ObjectiveScore(float(value[c]), float(period[c]), True, 0)
+                return tid, pe, partner, score
+            if reg is not None:
+                reg.inc("candidates_confirmed")
+            score = self._evaluate_ids(moved, objective)
+            if score.feasible and admit(score.value, score.period, row):
+                return tid, pe, partner, score
+        return None
+
+    @_traced("kernel:best_candidate")
+    def best_candidate(
+        self,
+        tasks: Optional[Sequence[str]] = None,
+        objective=None,
+        bound: Union[float, Sequence[float]] = math.inf,
+        swaps: bool = False,
+    ) -> Optional[Tuple[str, int, Optional[str], ObjectiveScore]]:
+        """The feasible neighbour with the smallest value below ``bound``.
+
+        Candidates are the moves of ``tasks`` (default: all, in graph
+        order) to every other PE, in visit order, then — with ``swaps``
+        — every distinct-PE task pair in ``(a_idx < b_idx)`` order over
+        ``tasks``.  A candidate qualifies when it is feasible and its
+        objective value is strictly below ``bound``: one number, or one
+        per task in ``tasks`` order (moves only).  Ties keep the earliest
+        candidate, so the pick is exactly the one an eager scan of
+        ``evaluate_all_moves`` + ``evaluate_swaps`` makes — the
+        ``local_search`` / ``tabu_search`` selection rule.
+
+        Returns ``(task, pe, partner, score)`` or ``None``: ``partner``
+        is ``None`` for a move of ``task`` to ``pe``; for a swap it names
+        the task trading places with ``task`` (``pe`` is its PE).
+
+        Evaluation is two-phase (see :meth:`_select`): candidates are
+        ranked by value without the mapping-dependent buffer model, and
+        only those that can win are scored exactly.  The ranking comes
+        from the dense kernel under ``auto`` (its ulp contract applies
+        on non-integer graphs) and from the scalar kernel under
+        ``python`` (the same floats as the eager scan); the returned
+        ``score`` and every feasibility verdict are exact.
+        """
+        import numpy as np
+
+        tids, _names = self._resolve_tasks(tasks)
+        pes = list(range(self._n_pes))
+        if isinstance(bound, (int, float)):
+            limit = float(bound)
+
+            def admit(value, _period, _row):
+                return value < limit
+
+        else:
+            bounds = np.asarray(bound, dtype=float)
+            if swaps or bounds.shape != (len(tids),):
+                raise ValueError(
+                    "per-task bounds need one value per task and no swaps"
+                )
+
+            def admit(value, _period, row):
+                return value < bounds[row]
+
+        found = self._select(
+            tids, pes, (tasks is None, True), objective, admit, swaps=swaps
+        )
+        if found is None:
+            return None
+        tid, pe, partner, score = found
+        names = self._cg.names
+        return (
+            names[tid], pe, None if partner is None else names[partner], score
+        )
 
     # ------------------------------------------------------------------ #
     # Whole-neighbourhood / population batch API (dense kernels)
@@ -2001,20 +2333,10 @@ class DeltaAnalyzer:
         reg = _metrics.REGISTRY
         if reg is not None:
             reg.inc("moves_scored", len(tids) * len(pes))
-        cg = self._cg
-        track_app = (
-            objective is not None
-            and getattr(objective, "needs_app_periods", False)
-            and cg.app_index is not None
-        )
-        res = self._kernel.move_matrix(
-            None if full[0] else tids, None if full[1] else pes, track_app
-        )
-        base_app = self.app_periods() if track_app else None
+        value, worst, nviol, origin = self._rank_moves(tids, pes, full, objective)
         current: Optional[ObjectiveScore] = None
-        worst, nviol, origin, aworst = res.worst, res.nviol, res.origin, res.aworst
         rows: List[List[ObjectiveScore]] = []
-        for i, tid in enumerate(tids):
+        for i in range(len(tids)):
             row: List[ObjectiveScore] = []
             for j in range(len(pes)):
                 if origin[i, j]:
@@ -2022,17 +2344,12 @@ class DeltaAnalyzer:
                         current = self._evaluate(None, objective)
                     row.append(current)
                     continue
-                w = float(worst[i, j])
                 nv = int(nviol[i, j])
-                if objective is None:
-                    value = w
-                elif not track_app:
-                    value = objective.value(w, None)
-                else:
-                    ap = dict(base_app)
-                    ap[cg.app_names[cg.app_index[tid]]] = float(aworst[i, j])
-                    value = objective.value(w, ap)
-                row.append(ObjectiveScore(value, w, nv == 0, nv))
+                row.append(
+                    ObjectiveScore(
+                        float(value[i, j]), float(worst[i, j]), nv == 0, nv
+                    )
+                )
             rows.append(row)
         return rows
 

@@ -12,7 +12,13 @@ engine they check.
   (``monkeypatch.setattr``) to replay a timeline on the oracle;
 * :func:`_local_search_full` — steepest descent with one ``analyze()``
   per candidate, visiting candidates in the same order as
-  :func:`repro.heuristics.local_search`.
+  :func:`repro.heuristics.local_search`;
+* :func:`_local_search_eager` / :func:`_tabu_search_eager` — the two
+  strategies with the eager neighbourhood scan they used before the
+  two-phase selection (:meth:`DeltaAnalyzer.best_candidate`): every
+  candidate's exact score from ``evaluate_all_moves`` /
+  ``evaluate_swaps``, buffer model included, kept when strictly best.
+  The two-phase strategies must pick exactly what these pick.
 
 No production module imports this one (``tests/test_structure.py``
 guards that); it exists for the equivalence tests and the speed-up
@@ -22,10 +28,14 @@ benches.
 from __future__ import annotations
 
 import math
+import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import MappingError
-from .delta import ObjectiveScore
+from ..graph.stream_graph import StreamGraph
+from ..heuristics.extra import _RESYNC_EVERY, _feasible_start
+from ..platform.cell import CellPlatform
+from .delta import DeltaAnalyzer, ObjectiveScore
 from .mapping import Mapping
 from .objective import make_objective
 from .throughput import PeriodAnalysis, analyze
@@ -246,3 +256,128 @@ def _local_search_full(
             break
         current, current_value = best_candidate, best_value
     return current
+
+
+def _local_search_eager(
+    mapping: Mapping,
+    max_rounds: int = 50,
+    try_swaps: bool = True,
+    elide_local_comm: bool = False,
+    merge_same_pe_buffers: bool = False,
+    objective: str = "period",
+) -> Mapping:
+    """Reference ``local_search``: scans every candidate's exact score."""
+    obj = make_objective(objective, mapping.graph)
+    state = DeltaAnalyzer(
+        mapping,
+        elide_local_comm=elide_local_comm,
+        merge_same_pe_buffers=merge_same_pe_buffers,
+    )
+    current_value = state.evaluate(obj).value if state.feasible else float("inf")
+    platform = mapping.platform
+    names = mapping.graph.task_names()
+    n_pes = platform.n_pes
+
+    for _rnd in range(max_rounds):
+        best: Optional[Tuple[str, ...]] = None
+        best_value = current_value
+        all_scores = state.evaluate_all_moves(objective=obj)
+        for i, name in enumerate(names):
+            origin = state.pe_of(name)
+            scores = all_scores[i]
+            for pe in range(n_pes):
+                if pe == origin:
+                    continue
+                score = scores[pe]
+                if score.feasible and score.value < best_value:
+                    best, best_value = ("move", name, pe), score.value
+        if try_swaps:
+            pairs = [
+                (names[a_idx], names[b_idx])
+                for a_idx in range(len(names))
+                for b_idx in range(a_idx + 1, len(names))
+                if state.pe_of(names[a_idx]) != state.pe_of(names[b_idx])
+            ]
+            for pair, score in zip(pairs, state.evaluate_swaps(pairs, obj)):
+                if score.feasible and score.value < best_value:
+                    best, best_value = ("swap", *pair), score.value
+        if best is None:
+            break
+        if best[0] == "move":
+            state.apply_move(best[1], int(best[2]))
+        else:
+            state.apply_swap(best[1], best[2])
+        state.resync()
+        current_value = (
+            state.evaluate(obj).value if state.feasible else float("inf")
+        )
+    return state.mapping()
+
+
+def _tabu_search_eager(
+    graph: StreamGraph,
+    platform: CellPlatform,
+    start: Optional[Mapping] = None,
+    seed: int = 0,
+    rounds: Optional[int] = None,
+    tenure: Optional[int] = None,
+    elide_local_comm: bool = False,
+    merge_same_pe_buffers: bool = False,
+    objective: str = "period",
+) -> Mapping:
+    """Reference ``tabu_search``: scans every candidate's exact score."""
+    rng = random.Random(seed)
+    obj = make_objective(objective, graph)
+    start = _feasible_start(
+        graph, platform, start, elide_local_comm, merge_same_pe_buffers
+    )
+    state = DeltaAnalyzer(
+        start,
+        elide_local_comm=elide_local_comm,
+        merge_same_pe_buffers=merge_same_pe_buffers,
+    )
+    names = graph.task_names()
+    n_pes = platform.n_pes
+    if n_pes < 2 or len(names) < 1:
+        return start
+    n_rounds = rounds if rounds is not None else max(40, 2 * len(names))
+    tabu_tenure = tenure if tenure is not None else max(4, len(names) // 4)
+
+    tabu_until: Dict[str, int] = {}
+    best_assignment = state.assignment()
+    best_value = state.evaluate(obj).value
+    applied = 0
+
+    for rnd in range(n_rounds):
+        scan = list(names)
+        rng.shuffle(scan)
+        best_move: Optional[Tuple[str, int]] = None
+        best_move_value = float("inf")
+        all_scores = state.evaluate_all_moves(scan, objective=obj)
+        for i, name in enumerate(scan):
+            origin = state.pe_of(name)
+            is_tabu = tabu_until.get(name, 0) > rnd
+            scores = all_scores[i]
+            for pe in range(n_pes):
+                if pe == origin:
+                    continue
+                score = scores[pe]
+                if not score.feasible:
+                    continue
+                if is_tabu and score.value >= best_value:
+                    continue  # tabu, and no aspiration
+                if score.value < best_move_value:
+                    best_move, best_move_value = (name, pe), score.value
+        if best_move is None:
+            break
+        name, pe = best_move
+        state.apply_move(name, pe)
+        applied += 1
+        if applied % _RESYNC_EVERY == 0:
+            state.resync()
+        tabu_until[name] = rnd + 1 + tabu_tenure
+        value = state.evaluate(obj).value
+        if value < best_value:
+            best_value = value
+            best_assignment = state.assignment()
+    return Mapping(graph, platform, best_assignment)

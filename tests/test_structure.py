@@ -4,7 +4,7 @@
 delta engine is checked against.  Production code evaluates through
 :class:`~repro.steady_state.delta.DeltaAnalyzer` alone, so no other
 module under ``src/repro`` may import the oracle or carry the names of
-the retired engine forks.
+the retired engine forks or of the eager-scan strategy oracles.
 """
 
 import ast
@@ -16,6 +16,9 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 REFERENCE = SRC / "steady_state" / "reference.py"
 ORACLE = "repro.steady_state.reference"
 RETIRED_NAMES = ("use_delta", "_ReferenceState", "numpy_available")
+#: The eager-scan strategy oracles the two-phase selection is checked
+#: against.
+EAGER_ORACLES = ("_local_search_eager", "_tabu_search_eager")
 
 
 def production_modules():
@@ -61,12 +64,14 @@ def test_reference_module_exists():
     text = REFERENCE.read_text(encoding="utf-8")
     assert "class _ReferenceState" in text
     assert "def _local_search_full" in text
+    for name in EAGER_ORACLES:
+        assert f"def {name}(" in text
 
 
 @pytest.mark.parametrize("path", production_modules(), ids=module_name)
 def test_production_module_does_not_use_the_oracle(path):
     text = path.read_text(encoding="utf-8")
-    for name in RETIRED_NAMES:
+    for name in RETIRED_NAMES + EAGER_ORACLES:
         assert name not in text, f"{module_name(path)} mentions {name!r}"
     for module in imported_modules(text, package_of(path)):
         assert module != ORACLE, f"{module_name(path)} imports {ORACLE}"
@@ -81,6 +86,10 @@ def test_production_module_does_not_use_the_oracle(path):
         ("repro.runtime", "from ..steady_state import reference"),
         ("repro.runtime", "import repro.steady_state.reference"),
         ("repro.runtime", "from repro.steady_state import reference"),
+        (
+            "repro.heuristics",
+            "from ..steady_state.reference import _local_search_eager",
+        ),
     ],
 )
 def test_import_scan_sees_every_spelling(package, line):
