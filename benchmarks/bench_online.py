@@ -19,6 +19,12 @@ exactly that contract:
   a failure-heavy injected timeline (correlated bursts + a perturbation
   window + brownout + retries), so the evacuation/repair/shed paths —
   not just admission — stay inside the delta-scored contract.
+* ``test_composite_blocks_speedup_guard`` holds the O(app) compile
+  path: after one departure from a 10-app workload, re-compiling the
+  composite from its cached per-app blocks (``Workload.compile`` +
+  ``compile_graph``) must be ≥3× faster than building the same
+  composite on a fresh workload and compiling it from scratch
+  (``CompiledGraph``), and field-identical to it.
 * ``test_online_admission_throughput`` replays the scenario with the
   metrics registry enabled and reports **admissions/sec** (decision
   count over wall time, plus the mean admission latency from the
@@ -30,14 +36,23 @@ Run explicitly (benchmarks are not collected by the default test run)::
     PYTHONPATH=src python -m pytest benchmarks/bench_online.py -q
 """
 
+import os
 import time
 
 import pytest
 
+from repro.graph import Workload
 from repro.obs import metrics
 from repro.platform import CellPlatform
-from repro.runtime import FaultInjector, OnlineScheduler, ScenarioGenerator
+from repro.runtime import (
+    DEFAULT_BUILDERS,
+    FaultInjector,
+    OnlineScheduler,
+    ScenarioGenerator,
+)
 from repro.runtime import scheduler as scheduler_mod
+from repro.steady_state import compile_graph
+from repro.steady_state.compiled import CompiledGraph
 from repro.steady_state.reference import _ReferenceState
 
 
@@ -140,6 +155,53 @@ def test_online_delta_speedup_guard_faulty(platform):
         f"faster than the full-analyze reference ({delta_time * 1e3:.1f} ms "
         f"vs {full_time * 1e3:.1f} ms for a failure-heavy timeline); the "
         "O(deg) per-candidate contract of the degradation paths is broken"
+    )
+
+
+def test_composite_blocks_speedup_guard():
+    """One departure from a ~10-app composite: the block-assembled
+    re-compile must match a from-scratch compilation field for field
+    and, unless REPRO_BENCH_NO_TIMING_ASSERT is set, be ≥3× faster
+    (best of 3 each)."""
+    builders = list(DEFAULT_BUILDERS.values())
+
+    def resident():
+        w = Workload("resident")
+        for i in range(10):
+            w.add_app(f"app{i}", builders[i % len(builders)]())
+        compile_graph(w.compile())  # every block warm
+        return w
+
+    t_blocks = t_scratch = float("inf")
+    for _ in range(3):
+        w = resident()
+        start = time.perf_counter()
+        w.remove_app("app3")
+        assembled = compile_graph(w.compile())
+        t_blocks = min(t_blocks, time.perf_counter() - start)
+
+        start = time.perf_counter()
+        fresh = Workload("resident")
+        for app in w:
+            fresh.add_app(app.name, app.graph)
+        scratch = CompiledGraph(fresh.compile())
+        t_scratch = min(t_scratch, time.perf_counter() - start)
+
+        for slot in CompiledGraph.__slots__:
+            if slot != "_np":
+                assert getattr(assembled, slot) == getattr(scratch, slot), slot
+    speedup = t_scratch / t_blocks
+    print(
+        f"\ncomposite re-compile after a departure: blocks "
+        f"{t_blocks * 1e3:.3f} ms vs from scratch {t_scratch * 1e3:.3f} ms "
+        f"({speedup:.1f}x, {assembled.n} tasks)"
+    )
+    if os.environ.get("REPRO_BENCH_NO_TIMING_ASSERT"):
+        return
+    assert speedup >= 3.0, (
+        f"block-assembled composite compile is only {speedup:.1f}x faster "
+        f"than a from-scratch build ({t_blocks * 1e3:.3f} ms vs "
+        f"{t_scratch * 1e3:.3f} ms); the O(app) online compile path regressed"
     )
 
 

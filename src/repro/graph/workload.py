@@ -37,11 +37,33 @@ simulator) consumes unchanged:
   load (its resource occupation alone — the quantity stretch objectives
   compare against).
 
-The compilation is memoized on :attr:`Workload.version`, which is
-derived from the member graphs' own mutation counters — mutating any
-member application (or the workload itself) invalidates the cached
-composite, exactly like ``StreamGraph.version`` invalidates the memoized
-``buffer_requirements``.
+Memoization
+-----------
+
+The compilation is memoized on two levels, so an online event that
+adds, removes or swaps one application costs O(that application), not
+O(resident workload):
+
+* **the composite** — keyed on :attr:`Workload.version`, which is
+  derived from the member graphs' own mutation counters: mutating any
+  member application (or the workload itself) invalidates the cached
+  composite, exactly like ``StreamGraph.version`` invalidates the
+  memoized ``buffer_requirements``;
+* **per-app blocks** — each member's namespaced tasks, edges,
+  adjacency, sources and sinks, plus its member
+  :class:`~repro.steady_state.compiled.CompiledGraph`, built once and
+  keyed on the member graph's identity and ``graph.version``.  A block
+  is dropped by :meth:`Workload.remove_app` and
+  :meth:`Workload.replace_graph` and rebuilt after a member mutation;
+  :meth:`Workload.compile` assembles the composite from blocks without
+  renaming a single task.  ``compile_graph(composite)`` then
+  concatenates the member ``CompiledGraph`` objects instead of
+  recompiling the union (see :mod:`repro.steady_state.compiled`), as
+  long as the composite itself is unchanged since it was built.
+
+Member ``CompiledGraph`` objects live in the workload's blocks only, not
+in the global ``compile_graph`` memo, so a block's memory goes with its
+application.
 """
 
 from __future__ import annotations
@@ -49,9 +71,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..errors import WorkloadError
+from ..errors import GraphError, WorkloadError
+from ..obs import metrics as _metrics
 from .edge import DataEdge
 from .stream_graph import StreamGraph
+from .task import Task
 
 __all__ = ["CompositeGraph", "Workload", "WorkloadApp"]
 
@@ -102,6 +126,59 @@ class WorkloadApp:
             )
 
 
+class _AppBlock:
+    """One member application's namespaced piece of the composite.
+
+    Built once per (graph object, ``graph.version``) by
+    :meth:`Workload.compile`; read-only afterwards, shared by every
+    composite assembled while the member is unchanged.
+    """
+
+    __slots__ = (
+        "graph",
+        "version",
+        "names",
+        "tasks",
+        "edges",
+        "succ",
+        "pred",
+        "sources",
+        "sinks",
+        "compiled",
+    )
+
+    def __init__(self, name: str, graph: StreamGraph) -> None:
+        # Imported here: steady_state.compiled imports this module.
+        from ..steady_state.compiled import CompiledGraph
+
+        prefix = name + APP_SEP
+        self.graph = graph
+        self.version = graph.version
+        #: The member compiled on its own, under its original task
+        #: names (raises ``CycleError`` on a cyclic member).
+        self.compiled = CompiledGraph(graph)
+        #: Composite task names, in member order.
+        self.names: Tuple[str, ...] = tuple(prefix + t for t in self.compiled.names)
+        self.tasks: Dict[str, Task] = {
+            qualified: task.renamed(qualified)
+            for qualified, task in zip(self.names, graph.tasks())
+        }
+        self.edges: Dict[Tuple[str, str], DataEdge] = {}
+        for edge in graph.edges():
+            renamed = DataEdge(prefix + edge.src, prefix + edge.dst, edge.data)
+            self.edges[renamed.key] = renamed
+        self.succ: Dict[str, Tuple[str, ...]] = {
+            prefix + t: tuple(prefix + s for s in graph.successors(t))
+            for t in self.compiled.names
+        }
+        self.pred: Dict[str, Tuple[str, ...]] = {
+            prefix + t: tuple(prefix + p for p in graph.predecessors(t))
+            for t in self.compiled.names
+        }
+        self.sources: Tuple[str, ...] = tuple(prefix + t for t in graph.sources())
+        self.sinks: Tuple[str, ...] = tuple(prefix + t for t in graph.sinks())
+
+
 class CompositeGraph(StreamGraph):
     """The flattened union of a workload's applications.
 
@@ -132,6 +209,51 @@ class CompositeGraph(StreamGraph):
         self.app_sinks: Dict[str, List[str]] = {}
         #: The :attr:`Workload.version` this composite was compiled from.
         self.workload_version: int = -1
+        # The per-app blocks this composite was assembled from, and the
+        # composite's own version right after assembly.
+        self._blocks: Tuple[_AppBlock, ...] = ()
+        self._blocks_version: int = -1
+
+    def _assemble(self, blocks: Tuple[_AppBlock, ...]) -> None:
+        """Fill this (empty) composite with ``blocks``, in app order.
+
+        Equivalent to ``add_task``/``add_edge`` over every block's tasks
+        and edges (the version ends at the same count), minus the
+        per-item checks: the blocks are validated members, and only
+        their prefixed names could collide.
+        """
+        tasks, edges = self._tasks, self._edges
+        succ, pred = self._succ, self._pred
+        n_tasks = 0
+        for block in blocks:
+            tasks.update(block.tasks)
+            edges.update(block.edges)
+            for name, out in block.succ.items():
+                succ[name] = list(out)
+            for name, into in block.pred.items():
+                pred[name] = list(into)
+            n_tasks += len(block.names)
+        if len(tasks) != n_tasks:
+            seen: Dict[str, None] = {}
+            for block in blocks:
+                for name in block.names:
+                    if name in seen:
+                        raise GraphError(f"duplicate task name {name!r}")
+                    seen[name] = None
+        self._version += len(tasks) + len(edges)
+        self._blocks = blocks
+        self._blocks_version = self._version
+
+    def member_blocks(self) -> Optional[Tuple[_AppBlock, ...]]:
+        """The per-app blocks this composite was assembled from.
+
+        ``None`` when it was not built by :meth:`Workload.compile` or
+        was mutated since: only an unchanged composite is exactly the
+        disjoint union of its blocks.
+        """
+        if self._blocks and self._blocks_version == self._version:
+            return self._blocks
+        return None
 
     def app_of_task(self, name: str) -> str:
         """The application owning composite task ``name``."""
@@ -158,6 +280,7 @@ class Workload:
     def __init__(self, name: str = "workload") -> None:
         self._version = 0
         self._apps: Dict[str, WorkloadApp] = {}
+        self._blocks: Dict[str, _AppBlock] = {}
         self._compiled: Optional[CompositeGraph] = None
         self.name = name  # via the guarded setter (validates + bumps)
 
@@ -218,6 +341,7 @@ class Workload:
             app = self._apps.pop(name)
         except KeyError:
             raise WorkloadError(f"unknown application {name!r}") from None
+        self._blocks.pop(name, None)
         # The member's graph.version no longer contributes to the sum in
         # `version`; fold it into the own counter (+1) so the total bumps.
         self._version += app.graph.version + 1
@@ -241,6 +365,7 @@ class Workload:
             weight=old.weight,
             target_period=old.target_period,
         )
+        self._blocks.pop(name, None)
         self._version += old.graph.version + 1
         return self._apps[name]
 
@@ -312,7 +437,11 @@ class Workload:
     # Compilation
 
     def compile(self) -> CompositeGraph:
-        """The namespaced composite graph (memoized on :attr:`version`)."""
+        """The namespaced composite graph (memoized on :attr:`version`).
+
+        Assembled from the per-app blocks; only applications added,
+        swapped or mutated since the last call build a new block.
+        """
         if not self._apps:
             raise WorkloadError(f"workload {self.name!r} has no application")
         version = self.version
@@ -323,31 +452,32 @@ class Workload:
             return self._compiled
         composite = CompositeGraph(self.name)
         composite.app_names = tuple(self._apps.keys())
+        blocks = []
         for app in self._apps.values():
-            prefix = app.name + APP_SEP
+            block = self._block(app)
+            blocks.append(block)
             composite.app_weights[app.name] = app.weight
             composite.app_targets[app.name] = app.target_period
-            names: List[str] = []
-            for task in app.graph.tasks():
-                qualified = prefix + task.name
-                composite.add_task(task.renamed(qualified))
-                composite.app_of[qualified] = app.name
-                names.append(qualified)
-            for edge in app.graph.edges():
-                composite.add_edge(
-                    DataEdge(prefix + edge.src, prefix + edge.dst, edge.data)
-                )
-            composite.app_tasks[app.name] = names
-            composite.app_sources[app.name] = [
-                prefix + t for t in app.graph.sources()
-            ]
-            composite.app_sinks[app.name] = [
-                prefix + t for t in app.graph.sinks()
-            ]
-        composite.validate()
+            composite.app_of.update(dict.fromkeys(block.names, app.name))
+            composite.app_tasks[app.name] = list(block.names)
+            composite.app_sources[app.name] = list(block.sources)
+            composite.app_sinks[app.name] = list(block.sinks)
+        composite._assemble(tuple(blocks))
         composite.workload_version = version
         self._compiled = composite
         return composite
+
+    def _block(self, app: WorkloadApp) -> _AppBlock:
+        """``app``'s block, rebuilt when its graph changed since."""
+        block = self._blocks.get(app.name)
+        graph = app.graph
+        if block is None or block.graph is not graph or block.version != graph.version:
+            block = _AppBlock(app.name, graph)
+            self._blocks[app.name] = block
+            reg = _metrics.REGISTRY
+            if reg is not None:
+                reg.inc("compile.blocks_built")
+        return block
 
     # ------------------------------------------------------------------ #
 

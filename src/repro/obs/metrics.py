@@ -27,22 +27,24 @@ overhead guard in ``benchmarks/bench_kernel.py``:
 
 Named metrics (the fixed vocabulary the instrumented layers emit):
 
-==============================  =========================================
-``moves_scored``                single-task move candidates scored
-``swaps_scored``                task-pair swap candidates scored
-``candidates_ranked``           two-phase selection: candidates ranked
-``candidates_confirmed``        two-phase selection: exact re-scorings
-``bulk_changes``                bulk change-sets / assignments scored
-``resyncs``                     O(V+E) state re-anchors
-``backend_dispatches.<name>``   analyzer constructions per kernel backend
-``clone_pool_hits/misses``      ClonePool free-list recycles vs fresh clones
-``admissions.<verdict>``        online admissions: accepted|rejected|shed
-``retry_queue_depth``           gauge: deferred-admission queue depth
-``brownout_transitions``        brownout mode enters + exits
-``admission_latency``           histogram: per-arrival decision seconds
-``repair_latency``              histogram: departure/recovery/perturb events
-``evacuation_latency``          histogram: failure-evacuation events
-==============================  =========================================
+================================  ============================================
+``moves_scored``                  single-task move candidates scored
+``swaps_scored``                  task-pair swap candidates scored
+``candidates_ranked``             two-phase selection: candidates ranked
+``candidates_confirmed``          two-phase selection: exact re-scorings
+``bulk_changes``                  bulk change-sets / assignments scored
+``resyncs``                       O(V+E) state re-anchors
+``backend_dispatches.<name>``     analyzer constructions per kernel backend
+``clone_pool_hits/misses``        ClonePool free-list recycles vs fresh clones
+``compile.blocks_built``          workload per-app blocks compiled
+``compile.composites_assembled``  composite compiles served from blocks
+``admissions.<verdict>``          online admissions: accepted|rejected|shed
+``retry_queue_depth``             gauge: deferred-admission queue depth
+``brownout_transitions``          brownout mode enters + exits
+``admission_latency``             histogram: per-arrival decision seconds
+``repair_latency``                histogram: departure/recovery/perturb events
+``evacuation_latency``            histogram: failure-evacuation events
+================================  ============================================
 """
 
 from __future__ import annotations

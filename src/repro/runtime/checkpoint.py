@@ -18,7 +18,13 @@ uninterrupted run.  Three properties make that hold:
 
 Checkpoints are single JSON files written atomically (temp file +
 fsync + ``os.replace``), so a crash mid-checkpoint leaves the previous
-checkpoint intact, never a half-written one.
+checkpoint intact, never a half-written one.  The payload is serialized
+in memory with ``json.dumps`` before the temp file is opened — the C
+encoder; ``json.dump`` to a file object runs the pure-Python one — and
+a failed write or fsync removes the temp file again.  Every checkpoint
+carries the full record history, so its size (and its serialization
+time) grows with the run; the bytes are exactly those of
+``json.dump(payload, fh, separators=(",", ":"))``.
 """
 
 from __future__ import annotations
@@ -59,7 +65,9 @@ def write_checkpoint(
     the captured state has consumed.  The write goes to a sibling temp
     file, is flushed (and fsync'd unless ``fsync=False``), then
     ``os.replace``d over ``path`` — the checkpoint on disk is always
-    either the old one or the new one, never a torn hybrid.
+    either the old one or the new one, never a torn hybrid.  A payload
+    that fails to serialize raises before any file is touched; a failed
+    write removes the temp file.
     """
     if n_applied < 0:
         raise CheckpointError(
@@ -72,13 +80,18 @@ def write_checkpoint(
         "config": scheduler.config(),
         "state": scheduler.snapshot_state(),
     }
+    text = json.dumps(payload, separators=(",", ":"))
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, separators=(",", ":"))
-        fh.flush()
-        if fsync:
-            os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            if fsync:
+                os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 

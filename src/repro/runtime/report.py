@@ -23,7 +23,7 @@ duration aggregates are exactly the ones that are not.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import OnlineSchedulingError
@@ -73,12 +73,27 @@ class EventRecord:
     decision_latency: float = field(default=0.0, compare=False)
 
     def to_dict(self) -> Dict:
-        payload = asdict(self)
-        payload["dropped"] = list(self.dropped)
-        payload["app_periods"] = [
-            [name, period] for name, period in self.app_periods
-        ]
-        return payload
+        # Built directly, in field order: checkpoints serialize every
+        # past record, and ``dataclasses.asdict`` would deep-copy each.
+        return {
+            "seq": self.seq,
+            "time": self.time,
+            "event": self.event,
+            "subject": self.subject,
+            "accepted": self.accepted,
+            "reason": self.reason,
+            "migrations": self.migrations,
+            "dropped": list(self.dropped),
+            "period": self.period,
+            "value": self.value,
+            "feasible": self.feasible,
+            "n_apps": self.n_apps,
+            "n_tasks": self.n_tasks,
+            "degraded": self.degraded,
+            "target_misses": self.target_misses,
+            "app_periods": [[name, period] for name, period in self.app_periods],
+            "decision_latency": self.decision_latency,
+        }
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "EventRecord":

@@ -38,6 +38,41 @@ Compilation is memoized per graph and invalidated by
 ``buffer_requirements`` (and audited the same way in
 ``tests/test_graph_version.py``): mutate the graph, and the next
 :func:`compile_graph` call recompiles.
+
+Composite assembly
+------------------
+
+A composite fresh from :meth:`~repro.graph.workload.Workload.compile`
+is the disjoint union of its applications, each of which the workload
+already holds compiled on its own (one cached block per app).
+:func:`compile_graph` then concatenates those member compilations with
+index offsets instead of recompiling the union, in O(composite) list
+work with no string hashing beyond the name index, and the result equals
+``CompiledGraph(composite)`` field for field (``tests/test_composite_blocks.py``):
+
+* tasks and edges are numbered app-major, so names, cost tables and
+  edge arrays concatenate; task ids shift by the number of tasks before
+  the app (``t0``), edge ids by the number of edges before it (``e0``);
+* with no cross-app edges every in-, out- and incident edge of a task
+  belongs to its app, so a task's CSR slice is the member's slice
+  shifted by ``e0`` (``2·e0`` for the incident lists, two entries per
+  edge), in the same global edge order;
+* ``need_default`` is a per-task sum over its own app's edges, in the
+  same order, so its floats are the member's;
+* ``topo_index`` comes from :meth:`StreamGraph.topological_order`: Kahn's
+  algorithm with a LIFO stack seeded by every source in task order.  The
+  composite stack holds app 0's sources at the bottom and the last app's
+  on top; popping a task only pushes tasks of its own app, so the last
+  app is drained exactly as it is alone, then the one before it, and so
+  on.  The composite order is each app's standalone order, apps in
+  reverse, and app ``k``'s offset is the number of tasks in the apps
+  *after* it.
+
+Only an unchanged composite is assembled
+(:meth:`~repro.graph.workload.CompositeGraph.member_blocks`): one mutated
+after :meth:`Workload.compile` built it takes the full build.  The member
+compilations live in the workload's blocks, not in the
+:func:`compile_graph` memo, so they are freed with their application.
 """
 
 from __future__ import annotations
@@ -46,6 +81,8 @@ import weakref
 from typing import Dict, List, Optional, Tuple
 
 from ..graph.stream_graph import StreamGraph
+from ..graph.workload import CompositeGraph
+from ..obs import metrics as _metrics
 from .periods import buffer_requirements
 
 __all__ = ["CompiledGraph", "compile_graph"]
@@ -247,15 +284,92 @@ def _prefix(counts: List[int]) -> List[int]:
 _COMPILE_CACHE: Dict[int, Tuple["weakref.ref", CompiledGraph]] = {}
 
 
+#: How :func:`_assemble` shifts each member field into the composite.
+_CONCATENATED = (
+    "wppe",
+    "wspe",
+    "read",
+    "write",
+    "peek",
+    "need_default",
+    "in_data",
+    "out_data",
+    "edge_data",
+)
+_TASK_IDS = ("in_src", "out_dst", "edge_src", "edge_dst")
+_EDGE_IDS = ("in_eid", "out_eid", "inc_eid")
+_EDGE_PTRS = ("in_ptr", "out_ptr")
+
+
+def _assemble(graph: CompositeGraph, blocks) -> CompiledGraph:
+    """``CompiledGraph(graph)`` by concatenating the per-app member
+    compilations (see "Composite assembly" in the module docstring)."""
+    cg = CompiledGraph.__new__(CompiledGraph)
+    for slot in _CONCATENATED + _TASK_IDS + _EDGE_IDS + _EDGE_PTRS:
+        setattr(cg, slot, [])
+    names: List[str] = []
+    edge_keys: List[Tuple[str, str]] = []
+    inc_ptr: List[int] = []
+    topo_index: List[int] = []
+    app_index: List[int] = []
+    n = sum(block.compiled.n for block in blocks)
+    t0 = e0 = 0
+    for k, block in enumerate(blocks):
+        m = block.compiled
+        for slot in _CONCATENATED:
+            getattr(cg, slot).extend(getattr(m, slot))
+        for slot in _TASK_IDS:
+            getattr(cg, slot).extend([t + t0 for t in getattr(m, slot)])
+        for slot in _EDGE_IDS:
+            getattr(cg, slot).extend([e + e0 for e in getattr(m, slot)])
+        for slot in _EDGE_PTRS:
+            getattr(cg, slot).extend([p + e0 for p in getattr(m, slot)[:-1]])
+        inc_ptr += [p + 2 * e0 for p in m.inc_ptr[:-1]]
+        after = n - t0 - m.n
+        topo_index += [p + after for p in m.topo_index]
+        names += block.names
+        edge_keys += block.edges.keys()
+        app_index += [k] * m.n
+        t0 += m.n
+        e0 += m.n_edges
+    cg.in_ptr.append(e0)
+    cg.out_ptr.append(e0)
+    inc_ptr.append(2 * e0)
+    cg.version = graph.version
+    cg.n = n
+    cg.n_edges = e0
+    cg.names = tuple(names)
+    cg.index = {name: i for i, name in enumerate(names)}
+    cg.edge_keys = edge_keys
+    cg.inc_ptr = inc_ptr
+    cg.topo_index = topo_index
+    cg.app_names = tuple(graph.app_names)
+    cg.app_index = app_index
+    cg._np = None
+    return cg
+
+
 def compile_graph(graph: StreamGraph) -> CompiledGraph:
-    """The memoized :class:`CompiledGraph` of ``graph``'s current version."""
+    """The memoized :class:`CompiledGraph` of ``graph``'s current version.
+
+    A workload composite still as :meth:`Workload.compile` built it is
+    assembled from its per-app blocks; every other graph is compiled
+    from scratch.
+    """
     key = id(graph)
     entry = _COMPILE_CACHE.get(key)
     if entry is not None:
         ref, compiled = entry
         if ref() is graph and compiled.version == graph.version:
             return compiled
-    compiled = CompiledGraph(graph)
+    blocks = graph.member_blocks() if isinstance(graph, CompositeGraph) else None
+    if blocks is None:
+        compiled = CompiledGraph(graph)
+    else:
+        compiled = _assemble(graph, blocks)
+        reg = _metrics.REGISTRY
+        if reg is not None:
+            reg.inc("compile.composites_assembled")
 
     def _evict(_ref, key=key):
         _COMPILE_CACHE.pop(key, None)

@@ -38,6 +38,10 @@ def assert_mutation_bumps_version(graph: StreamGraph, mutate) -> None:
         )
 
 
+#: Every public StreamGraph mutator (the audits below exercise each).
+MUTATORS = {"add_task", "add_edge", "replace_task", "replace_edge"}
+
+
 def build() -> StreamGraph:
     g = StreamGraph("audit")
     g.add_task(Task("a", wppe=10.0, wspe=5.0))
@@ -63,7 +67,7 @@ class TestMutatorAudit:
     def test_audit_table_is_complete(self):
         """Fail when StreamGraph grows a public mutator the table above
         does not exercise (crude but effective tripwire)."""
-        known_mutators = {"add_task", "add_edge", "replace_task", "replace_edge"}
+        known_mutators = MUTATORS
         # Public methods that return structure or derived values are
         # explicitly read-only; everything else must be in the table.
         read_only = {
@@ -308,3 +312,41 @@ class TestWorkloadVersionAudit:
         seen.add(w.version)
         w.add_app("late", build())
         assert w.version not in seen
+
+
+class TestWorkloadBlockAudit:
+    """``Workload.compile`` caches one compiled block per application,
+    keyed on the member graph and its ``version``: every member mutator
+    must rebuild that block (and only that block), and the composite
+    assembled from the blocks must match a from-scratch compilation."""
+
+    def test_every_member_mutator_rebuilds_the_block(self):
+        from test_composite_blocks import assert_assembled_exact
+
+        w = Workload("audit")
+        w.add_app("one", build())
+        w.add_app("two", build())
+        w.compile()
+        g = w.app("one").graph
+        mutators = {
+            "add_task": lambda: g.add_task(Task("z", wppe=1.0, wspe=1.0)),
+            "add_edge": lambda: g.add_edge(DataEdge("b", "z", 10.0)),
+            "replace_task": lambda: g.replace_task(Task("a", wppe=3.0, wspe=3.0)),
+            "replace_edge": lambda: g.replace_edge(DataEdge("a", "b", 99.0)),
+        }
+        assert set(mutators) == MUTATORS
+        for name, mutate in mutators.items():
+            stale, other = w._blocks["one"], w._blocks["two"]
+            mutate()
+            assert_assembled_exact(w)
+            fresh = w._blocks["one"]
+            assert fresh is not stale, (
+                f"{name} left the member's compiled block in place — the "
+                "assembled composite would go stale"
+            )
+            assert fresh.version == g.version
+            assert w._blocks["two"] is other
+        composite = w.compile()
+        assert composite.edge("one:a", "one:b").data == 99.0
+        assert composite.task("one:a").wppe == 3.0
+        assert composite.successors("one:b") == ["one:z"]

@@ -18,6 +18,8 @@ files (the randomized kill-anywhere sweep lives in ``test_chaos.py``):
   ``CostRestore``.
 """
 
+import dataclasses
+import io
 import json
 import shutil
 from pathlib import Path
@@ -34,12 +36,15 @@ from repro.runtime import (
     CostRestore,
     DurableScheduler,
     EventJournal,
+    EventRecord,
+    FaultInjector,
     OnlineScheduler,
     ScenarioGenerator,
     read_checkpoint,
     scheduler_from_config,
     write_checkpoint,
 )
+from repro.runtime import checkpoint as checkpoint_mod
 from repro.runtime import scheduler as scheduler_mod
 from repro.steady_state.reference import _ReferenceState
 from test_chaos import ALL_MODES
@@ -299,6 +304,112 @@ class TestCheckpoint:
         path.write_text('{"checkpoint": 1, "n_appl')
         with pytest.raises(CheckpointError):
             read_checkpoint(path)
+
+
+class TestCheckpointBytes:
+    """Checkpoint files are exactly ``json.dump(payload, fh,
+    separators=(",", ":"))`` of the snapshot, whichever encoder writes
+    them, and a failed write never disturbs the previous checkpoint."""
+
+    @pytest.fixture(scope="class")
+    def busy(self, platform):
+        """A scheduler inside a perturbation window, with deferred
+        admissions queued and rejected, shed and admitted arrivals in
+        its history."""
+        events = ScenarioGenerator(
+            platform, seed=0, load=6.0, n_failures=1
+        ).generate(30)
+        events = FaultInjector(platform, seed=0).inject(
+            events, n_bursts=1, n_perturbations=1
+        )
+        sched = OnlineScheduler(
+            platform, migration_budget=2, retry_limit=2, retry_backoff=4.0
+        )
+        for event in events[:16]:
+            sched.process(event)
+        assert sched._pending and sched._perturbation is not None
+        return sched
+
+    @staticmethod
+    def asdict_payload(record):
+        """The ``dataclasses.asdict``-based payload ``to_dict`` replaced."""
+        payload = dataclasses.asdict(record)
+        payload["dropped"] = list(record.dropped)
+        payload["app_periods"] = [
+            [name, period] for name, period in record.app_periods
+        ]
+        return payload
+
+    def test_record_to_dict_matches_asdict(self, busy):
+        records = list(busy.report().records) + [
+            EventRecord(
+                seq=7,
+                time=1.5,
+                event="failure",
+                subject="PE3",
+                accepted=None,
+                reason="evacuated",
+                migrations=2,
+                dropped=("x", "y"),
+                period=12.25,
+                value=0.1,
+                feasible=False,
+                n_apps=2,
+                n_tasks=9,
+                degraded=True,
+                target_misses=1,
+                app_periods=(("a", 3.0), ("b", 4.5)),
+                decision_latency=0.25,
+            )
+        ]
+        assert {r.accepted for r in records} == {None, True, False}
+        assert any(r.dropped for r in records)
+        assert any(r.app_periods for r in records)
+        for record in records:
+            got, want = record.to_dict(), self.asdict_payload(record)
+            assert list(got.items()) == list(want.items())
+            assert json.dumps(got) == json.dumps(want)
+
+    def test_file_bytes_match_json_dump(self, tmp_path, busy):
+        path = tmp_path / "c.json"
+        write_checkpoint(busy, path, n_applied=16, fsync=False)
+        expected = io.StringIO()
+        json.dump(
+            {
+                "checkpoint": checkpoint_mod.CHECKPOINT_SCHEMA,
+                "n_applied": 16,
+                "config": busy.config(),
+                "state": busy.snapshot_state(),
+            },
+            expected,
+            separators=(",", ":"),
+        )
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+    def test_unserializable_payload_leaves_previous(self, tmp_path, busy, monkeypatch):
+        path = tmp_path / "c.json"
+        write_checkpoint(busy, path, n_applied=16, fsync=False)
+        before = path.read_bytes()
+        state = busy.snapshot_state()
+        monkeypatch.setattr(busy, "snapshot_state", lambda: {**state, "bad": object()})
+        with pytest.raises(TypeError):
+            write_checkpoint(busy, path, n_applied=17, fsync=False)
+        assert path.read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_failed_fsync_removes_temp_file(self, tmp_path, busy, monkeypatch):
+        path = tmp_path / "c.json"
+        write_checkpoint(busy, path, n_applied=16, fsync=False)
+        before = path.read_bytes()
+
+        def broken_fsync(fd):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(checkpoint_mod.os, "fsync", broken_fsync)
+        with pytest.raises(OSError, match="disk gone"):
+            write_checkpoint(busy, path, n_applied=17, fsync=True)
+        assert path.read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 # ------------------------------------------------------------------ #

@@ -310,7 +310,8 @@ def test_strategy_counters_deterministic(graph, qs22, kernel):
 
 def test_scheduler_report_identical_with_metrics(qs22):
     """Same timeline, metrics+tracing on vs off: equal reports, and the
-    serialized records differ only in the decision-latency telemetry."""
+    serialized records differ only in the decision-latency telemetry.
+    The O(app) compile counters record work without steering it."""
     events = ScenarioGenerator(
         qs22, seed=7, load=2.0, n_failures=2
     ).generate(16)
@@ -322,7 +323,7 @@ def test_scheduler_report_identical_with_metrics(qs22):
         return scheduler.run(events)
 
     baseline = play()
-    metrics.enable(MetricsRegistry())
+    registry = metrics.enable(MetricsRegistry())
     tracing.start(tracing.Tracer())
     try:
         instrumented = play()
@@ -330,6 +331,12 @@ def test_scheduler_report_identical_with_metrics(qs22):
         tracing.stop()
         metrics.disable()
     assert instrumented == baseline
+    counters = registry.counters
+    arrivals = sum(e.event_type == "arrival" for e in events)
+    # One block per admission attempt (perturbation windows add more);
+    # the runtime only ever compiles unmutated composites.
+    assert counters["compile.blocks_built"] >= arrivals
+    assert counters["compile.composites_assembled"] >= 1
     assert all(r.decision_latency == 0.0 for r in baseline.records)
     assert any(r.decision_latency > 0.0 for r in instrumented.records)
     zeroed = RuntimeReport(
