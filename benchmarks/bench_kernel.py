@@ -20,6 +20,10 @@ the two claims down on the paper's 50-task benchmark graph:
   whole-neighbourhood ``score_move_matrix`` pass is less than 5× faster
   than the scalar batched sweep — the acceptance bar of the vectorized
   kernel PR;
+* ``test_md_population_speedup_guard`` **fails** if the dense
+  mapping-dependent population pass (``score_assignments`` on 24 whole
+  mappings, each md mode) is less than 4× faster than the ``python``
+  engine's per-candidate ``score_changes`` loop;
 * ``test_native_md_scoring_speedup_guard`` /
   ``test_native_apply_speedup_guard`` **fail** if the compiled
   extension (the ``cython`` engine) is less than 2× faster than the best
@@ -62,6 +66,8 @@ from repro.platform import CellPlatform
 from repro.steady_state import (
     NO_EXTENSION_ENV_VAR,
     DeltaAnalyzer,
+    Mapping,
+    analyze,
     cython_available,
     make_objective,
 )
@@ -309,6 +315,57 @@ def test_vectorized_speedup_guard(graph, platform, mapping):
     )
 
 
+#: The mapping-dependent buffer modes: (elide_local_comm, merge_same_pe_buffers).
+MD_FLAGS = [(True, False), (False, True), (True, True)]
+
+
+def test_md_population_speedup_guard(graph, platform, mapping):
+    """The dense mapping-dependent population pass must score a GA-sized
+    population (K=24 whole mappings) ≥4× faster than the ``python``
+    engine's per-candidate ``score_changes`` loop, in every md mode.
+
+    Cross-checks first: every dense row equals a fresh ``analyze()`` of
+    its mapping bit for bit, and every violation count equals the
+    per-candidate one (whose periods are incremental sums, so on
+    graph1's non-integer costs they may differ from ``analyze()`` in
+    the last ulp).
+    """
+    rng = random.Random(11)
+    names = graph.task_names()
+    population = [
+        {name: rng.randrange(platform.n_pes) for name in names}
+        for _ in range(24)
+    ]
+    for elide, merge in MD_FLAGS:
+        kwargs = dict(elide_local_comm=elide, merge_same_pe_buffers=merge)
+        dense = _analyzer(mapping, "numpy", **kwargs)
+        scalar = _analyzer(mapping, "python", **kwargs)
+        scores = dense.score_assignments(population)
+        assert dense._rank_mirror is not None  # the dense pass ran
+        for changes, score, ref in zip(
+            population,
+            scores,
+            [scalar.score_changes(ch) for ch in population],
+        ):
+            exact = analyze(Mapping(graph, platform, changes), **kwargs)
+            assert score.period == exact.period
+            assert score.n_violations == len(exact.violations)
+            assert score.n_violations == ref.n_violations
+        dense_time = _time_best_of(lambda: dense.score_assignments(population))
+        scalar_time = _time_best_of(
+            lambda: [scalar.score_changes(ch) for ch in population]
+        )
+        if os.environ.get("REPRO_BENCH_NO_TIMING_ASSERT"):
+            continue  # noisy shared runners: correctness still verified
+        speedup = scalar_time / dense_time
+        assert speedup >= 4.0, (
+            f"dense md population scoring (elide={elide}, merge={merge}) "
+            f"is only {speedup:.1f}x faster than per-candidate scoring "
+            f"({dense_time * 1e3:.2f} ms vs {scalar_time * 1e3:.2f} ms "
+            f"for {len(population)} mappings); the dense md pass is broken"
+        )
+
+
 # ---------------------------------------------------------------------- #
 # Compiled extension (cython backend) guards
 
@@ -329,7 +386,7 @@ def test_native_md_scoring_speedup_guard(graph, mapping):
     first, so the speed-up is not bought with a different answer.
     """
     names = graph.task_names()
-    for elide, merge in [(True, False), (False, True), (True, True)]:
+    for elide, merge in MD_FLAGS:
         kwargs = dict(elide_local_comm=elide, merge_same_pe_buffers=merge)
         native = _analyzer(mapping, "cython", **kwargs)
         baselines = {

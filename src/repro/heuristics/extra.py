@@ -23,8 +23,11 @@ buffer model; phase 2 scores exactly only the candidates that can win
 (a lookup in the default buffer model, where the dense verdicts are
 already exact).  The GA scores random immigrants and whole generations
 through the population-level ``score_assignments`` /
-``evaluate_assignments`` pass; its mutation needs every target's
-verdict, so it stays on the batched ``evaluate_moves`` sweep.
+``evaluate_assignments`` pass (one dense matrix pass on the fast engine,
+in every buffer model); its mutation needs every target's verdict, so
+it stays on the batched ``evaluate_moves`` sweep (which, in the
+mapping-dependent models, derives the buffer model once for all targets
+hosting none of the task's neighbours).
 ``simulated_annealing`` proposes one random candidate at a time, so its
 ``evaluate_move`` calls hit the scalar kernel with a single-target
 sweep.  The kernel is picked
@@ -533,8 +536,8 @@ def genetic_algorithm(
     Random-immigrant seeding and each generation's fitness ranking go
     through the population-level ``score_assignments`` /
     ``evaluate_assignments`` batch (one dense pass over K candidate
-    mappings in the default buffer model);
-    a per-generation cache keeps the tournament/sort lookups O(1).
+    mappings on the fast engine, in every buffer model); a
+    per-generation cache keeps the tournament/sort lookups O(1).
 
     The population is seeded with the feasible members of {``start`` (or
     the critical-path mapping), GREEDYCPU, GREEDYMEM} plus random feasible

@@ -12,7 +12,7 @@
  * mirrors the scalar kernel's accumulation order, so results are
  * bit-identical on integer-valued graphs and within one ulp otherwise.
  * The only ordering liberty taken is iterating the `dirty`-footprint
- * set of _buffer_deltas in discovery order instead of Python set order
+ * set of _buffer_model in discovery order instead of Python set order
  * — the per-task sums themselves keep buffer_requirements order, so
  * this only permutes commutative additions (exact on integer data).
  */
@@ -570,7 +570,7 @@ push_task(const Ctx *c, Scratch *s, unsigned long g, long t)
 }
 
 /* ---------------------------------------------------------------- */
-/* _buffer_deltas: mapping-dependent buffer-model updates            */
+/* _buffer_model + _buffer_d_buf: mapping-dependent buffer updates  */
 
 static void
 buffer_deltas(const Ctx *c, Scratch *s)

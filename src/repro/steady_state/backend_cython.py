@@ -4,14 +4,14 @@ dense numpy kernels cannot vectorize.
 The extension module (``repro.steady_state._ckernel``, built from
 ``_ckernel.c`` by ``setup.py``) operates directly on the analyzer's own
 Python containers — it mirrors the exact float-accumulation order of
-``DeltaAnalyzer._deltas_ids`` / ``_buffer_deltas`` / ``_score`` /
-``_apply`` / ``_rebuild``, so every verdict and every piece of committed
-state is bit-identical to the scalar kernel (the one documented ordering
-liberty, iterating the dirty-task footprint in discovery order, permutes
-only commutative additions and is exact on integer-cost graphs, the same
-caveat :mod:`backend_numpy` carries).  Because the extension holds no
-mirrored state there is nothing to invalidate: every call re-reads the
-analyzer.
+``DeltaAnalyzer._deltas_ids`` / ``_buffer_model`` / ``_buffer_d_buf`` /
+``_score`` / ``_apply`` / ``_rebuild``, so every verdict and every piece
+of committed state is bit-identical to the scalar kernel (the one
+documented ordering liberty, iterating the dirty-task footprint in
+discovery order, permutes only commutative additions and is exact on
+integer-cost graphs, the same caveat :mod:`backend_numpy` carries).
+Because the extension holds no mirrored state there is nothing to
+invalidate: every call re-reads the analyzer.
 
 Covered paths (the ones the ISSUE names):
 

@@ -27,15 +27,45 @@ branches:
 * ``max`` is exact and order-free, so peak/period reductions match
   regardless of evaluation shape.
 
-Only the **default buffer model** is vectorized; the mapping-dependent
-modes (``elide_local_comm``/``merge_same_pe_buffers``) re-derive
-per-task footprints per candidate, so their public batch APIs score
-through the scalar (or compiled) paths.  Their two-phase neighbourhood
-selection (``DeltaAnalyzer.best_candidate``) still ranks candidates
-with a private kernel built on first use, reading only the
-buffer-independent ``worst``/``aworst`` terms: its ``nviol`` there
-counts the default model's violations against the live buffers and is
-never read.
+The move and swap kernels vectorize the **default buffer model** only:
+in the mapping-dependent modes (``elide_local_comm``/
+``merge_same_pe_buffers``) a move's footprint change depends on its
+target, so their public move/swap batch APIs score through the scalar
+(or compiled) paths.  A mapping-dependent analyzer still builds a
+private kernel on first use, for two jobs: its two-phase selection
+(``DeltaAnalyzer.best_candidate``) ranks candidates by the
+buffer-independent ``worst``/``aworst`` terms (``nviol`` there counts
+the default model's violations against the live buffers and is never
+read), and its population pass (:meth:`NumpyKernel.assignment_matrix`)
+scores whole assignments, where every footprint is derived from
+scratch anyway — so it derives them densely, per row.
+
+The mapping-dependent population pass is **bit-identical** to
+``analyze()`` on every graph, integer or not:
+
+* the period and the DMA counts do not depend on the buffer model: the
+  same from-scratch sums as in the default model, in ``analyze()``'s
+  order (tasks, then edges) per row;
+* ``firstPeriod`` is integer arithmetic, swept level by level (tasks
+  grouped by longest-path depth from the sources, so every predecessor
+  is final before its consumers read it); ``max`` is exact, so
+  ``np.maximum.reduceat`` over a task's in-edges matches the reference
+  generator whatever the edge order;
+* an edge's size is one ``data × window`` product, the same single
+  IEEE multiplication ``buffer_sizes`` performs;
+* per-task footprints are one ``bincount`` over the interleaved
+  ``(src, dst)`` bins in global edge order — ``_compute_requirements``'
+  exact fold — with the consumer side weighted ``0.0`` where merged:
+  ``x + 0.0 == x`` for the non-negative partial sums, so skipping and
+  adding zero agree;
+* per-SPE buffers add the footprints in task order, as ``analyze()``
+  walks the mapping.
+
+What it is *not* bit-identical to: the per-candidate path
+(``score_changes``), which adds a candidate's deltas onto the
+analyzer's incremental sums — on non-integer costs its periods can
+differ from ``analyze()``'s in the last ulp.  On integer-valued graphs
+the two agree exactly.
 """
 
 from __future__ import annotations
@@ -96,7 +126,48 @@ def build_graph_arrays(cg) -> SimpleNamespace:
         g.app_index = np.asarray(cg.app_index, _I64)
     else:
         g.app_index = None
+    # Level tables of the mapping-dependent population pass, built on
+    # first use (_md_tables): most graphs are only ever scored in the
+    # default buffer model.
+    g.md = None
     return g
+
+
+def _md_tables(cg, g) -> SimpleNamespace:
+    """Static tables of the mapping-dependent population pass.
+
+    ``fp``: the paper's (mapping-independent) ``firstPeriod``.
+    ``levels``: per longest-path depth ``L >= 1``, the tasks at that
+    depth (ascending ids), their in-edges grouped by destination in CSR
+    order (``src``/``dst`` task ids), the ``reduceat`` group starts and
+    the tasks' ``peek``.  Built once per graph version, cached on ``g``.
+    """
+    if g.md is None:
+        n = cg.n
+        in_ptr, in_src, peek = cg.in_ptr, cg.in_src, cg.peek
+        depth = [0] * n
+        fp = [0] * n
+        for t in sorted(range(n), key=cg.topo_index.__getitem__):
+            preds = in_src[in_ptr[t] : in_ptr[t + 1]]
+            if preds:
+                depth[t] = max(depth[p] for p in preds) + 1
+                fp[t] = max(fp[p] for p in preds) + peek[t] + 2
+        depth_arr = np.asarray(depth, _I64)
+        peek_arr = np.asarray(peek, _I64)
+        src = np.asarray(in_src, _I64)
+        dst = np.repeat(np.arange(n, dtype=_I64), np.diff(in_ptr))
+        # Stable: each level keeps its destinations' CSR slices in order.
+        order = np.argsort(depth_arr[dst], kind="stable")
+        src, dst = src[order], dst[order]
+        edge_depth = depth_arr[dst]
+        levels = []
+        for level in range(1, int(depth_arr.max(initial=0)) + 1):
+            lo, hi = np.searchsorted(edge_depth, [level, level + 1])
+            l_dst = dst[lo:hi]
+            tasks, starts = np.unique(l_dst, return_index=True)
+            levels.append((tasks, src[lo:hi], l_dst, starts, peek_arr[tasks]))
+        g.md = SimpleNamespace(fp=np.asarray(fp, _I64), levels=levels)
+    return g.md
 
 
 def _shift(old, dv, limit):
@@ -711,8 +782,10 @@ class NumpyKernel:
         ``P`` is a (K, n) int matrix of task → PE assignments over the
         analyzer's platform.  Returns ``(period, nviol, app_periods)``
         with ``app_periods`` a (K, n_apps) matrix (or ``None``).  The
-        from-scratch sums follow ``_rebuild``'s accumulation order
-        (tasks, then edges) per row — bit-identical on integer graphs.
+        from-scratch sums follow ``analyze()``'s accumulation order
+        (tasks, then edges) per row, so every row is bit-identical to
+        ``analyze()`` of its mapping.  A mapping-dependent analyzer's
+        footprints are derived per row (:meth:`_md_need`).
         """
         g, nn, bw = self.g, self.n_pes, self.bw
         P = np.asarray(P, _I64)
@@ -761,10 +834,12 @@ class NumpyKernel:
         dma_proxy = np.bincount(
             (src_pe + off)[proxy_mask], minlength=size
         ).reshape(K, nn)
+        if self.an._mapping_dependent:
+            need = self._md_need(P)
+        else:
+            need = np.broadcast_to(g.need_default, (K, n))
         buffer = np.bincount(
-            pbins.ravel(),
-            weights=np.broadcast_to(self.g.need_default, (K, n)).ravel(),
-            minlength=size,
+            pbins.ravel(), weights=need.ravel(), minlength=size
         ).reshape(K, nn)
         spe_row = self.is_spe[None, :]
         nviol = (
@@ -845,3 +920,34 @@ class NumpyKernel:
                     app_periods, a_link.max(axis=2) / self.bif_bw
                 )
         return period, nviol, app_periods
+
+    def _md_need(self, P):
+        """Per-task footprints (K, n) of each row of ``P`` under the
+        analyzer's mapping-dependent buffer model (see the module
+        docstring for why each step is exact)."""
+        an, g = self.an, self.g
+        tables = _md_tables(self.cg, g)
+        K, n = P.shape
+        src, dst = g.edge_src, g.edge_dst
+        if an.elide_local_comm:
+            fp = np.zeros((K, n), _I64)
+            for tasks, l_src, l_dst, starts, peek in tables.levels:
+                cand = fp[:, l_src] + 1 + (P[:, l_src] != P[:, l_dst])
+                fp[:, tasks] = np.maximum.reduceat(cand, starts, axis=1) + peek
+            window = fp[:, dst] - fp[:, src]
+        else:
+            window = tables.fp[dst] - tables.fp[src]
+        esize = g.edge_data * window  # (K, m), or (m,) broadcast to every row
+        weights = np.empty((K, 2 * g.n_edges), _F64)
+        weights[:, 0::2] = esize
+        if an.merge_same_pe_buffers:
+            weights[:, 1::2] = np.where(P[:, src] == P[:, dst], 0.0, esize)
+        else:
+            weights[:, 1::2] = esize
+        bins = np.empty((K, 2 * g.n_edges), _I64)
+        off = (np.arange(K) * n)[:, None]
+        bins[:, 0::2] = src + off
+        bins[:, 1::2] = dst + off
+        return np.bincount(
+            bins.ravel(), weights=weights.ravel(), minlength=K * n
+        ).reshape(K, n)

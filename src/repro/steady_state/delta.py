@@ -55,10 +55,14 @@ task's incident edges are aggregated by neighbour PE once (O(deg)), the
 two highest cached peaks outside the origin are found once (O(n_pes)),
 and each candidate then costs O(1) arithmetic — no dictionaries, no
 re-walk.  Under the mapping-dependent buffer models (below) a move's
-buffer cost is inherently target-dependent (the ``firstPeriod`` cone
-shifts), so the public batched entry points score each candidate
-through the exact per-candidate delta path — same results, still
-integer-indexed.
+buffer cost can depend on its target (the ``firstPeriod`` cone shifts),
+so the public batched entry points score each candidate through the
+exact per-candidate delta path — same results, still integer-indexed —
+but derive the buffer model once for every target hosting none of the
+task's neighbours, where it cannot differ (:meth:`_sweep_deltas`).
+Whole-mapping batches (``score_assignments`` / ``evaluate_assignments``,
+the GA's population pass) run as one dense from-scratch pass in every
+buffer model on the fast engine.
 
 Two-phase neighbourhood selection
 ---------------------------------
@@ -366,8 +370,10 @@ class DeltaAnalyzer:
 
     def _make_kernel(self):
         """The dense numpy batch kernel: fast engine, default buffer
-        model only (the mapping-dependent modes score candidates one at
-        a time, so a dense kernel there would never run)."""
+        model only.  The mapping-dependent modes score moves and swaps
+        one target at a time; their dense work (ranking, population
+        passes) goes through :meth:`_ranker`'s mirror, built on first
+        use."""
         if self.backend == "python" or self._mapping_dependent:
             return None
         from .backend_numpy import NumpyKernel
@@ -739,19 +745,21 @@ class DeltaAnalyzer:
     # ------------------------------------------------------------------ #
     # Delta machinery
 
-    def _buffer_deltas(
-        self, moved: Dict[int, int]
-    ) -> Tuple[_BufModel, Dict[int, float]]:
+    def _buffer_model(self, moved: Dict[int, int]) -> _BufModel:
         """Mapping-dependent buffer-model updates for applying ``moved``.
 
-        Returns ``((fp_new, esize_new, need_new), d_buf)`` with only the
-        entries that actually change.  Cost: O(sum of degrees of the moved
-        tasks) plus, under elision, the incident edges of the tasks whose
+        Returns ``(fp_new, esize_new, need_new)`` with only the entries
+        that actually change.  Cost: O(sum of degrees of the moved tasks)
+        plus, under elision, the incident edges of the tasks whose
         ``firstPeriod`` actually shifts.
+
+        The target PEs enter only through ``new_pe(x) == new_pe(y)``
+        comparisons between neighbours, so a single move to a PE hosting
+        none of the task's neighbours yields the same model whichever
+        such PE it is (:meth:`_sweep_deltas` shares it).
         """
         cg = self._cg
         pe_list = self._pe
-        is_spe = self._is_spe
         out_ptr, out_dst = cg.out_ptr, cg.out_dst
         edge_src, edge_dst = cg.edge_src, cg.edge_dst
 
@@ -866,8 +874,17 @@ class DeltaAnalyzer:
                 if total != need[t]:
                     need_new[t] = total
 
-        # 4. Per-SPE buffer deltas: moved tasks change host, dirty
-        # residents change footprint in place.
+        return fp_new, esize_new, need_new
+
+    def _buffer_d_buf(
+        self, moved: Dict[int, int], need_new: Dict[int, float]
+    ) -> Dict[int, float]:
+        """Per-SPE buffer deltas of ``moved`` under the footprints
+        ``need_new``: moved tasks change host first, then dirty residents
+        change footprint in place — the order fixes each SPE's float sum."""
+        pe_list = self._pe
+        is_spe = self._is_spe
+        need = self._need
         d_buf: Dict[int, float] = {}
         for t, pe in moved.items():
             old_pe = pe_list[t]
@@ -882,8 +899,7 @@ class DeltaAnalyzer:
             pe = pe_list[t]
             if is_spe[pe]:
                 d_buf[pe] = d_buf.get(pe, 0.0) + (value - need[t])
-
-        return (fp_new, esize_new, need_new), d_buf
+        return d_buf
 
     def _to_moved(self, changes: Dict[str, int]) -> Dict[int, int]:
         """Validate ``changes`` and translate to a tid-keyed move set."""
@@ -918,15 +934,19 @@ class DeltaAnalyzer:
         return self._deltas_ids(moved)
 
     def _deltas_ids(
-        self, moved: Dict[int, int], with_buffers: bool = True
+        self,
+        moved: Dict[int, int],
+        with_buffers: bool = True,
+        model: Optional[_BufModel] = None,
     ) -> _Deltas:
         """Deltas for a non-empty, pre-validated tid → PE move set.
 
         ``with_buffers=False`` skips the buffer model (no ``d_buf``, no
-        ``_buffer_deltas`` derivation): the result then serves only
+        :meth:`_buffer_model` derivation): the result then serves only
         :meth:`_candidate_period` / :meth:`_value` — the period never
         depends on the buffer model — and must not be scored for
-        violations or applied.
+        violations or applied.  ``model`` supplies an already-derived
+        mapping-dependent buffer model for ``moved``.
         """
         cg = self._cg
         pe_list = self._pe
@@ -1031,7 +1051,8 @@ class DeltaAnalyzer:
 
         bufmodel: Optional[_BufModel] = None
         if with_buffers and self._mapping_dependent:
-            bufmodel, d_buf = self._buffer_deltas(moved)
+            bufmodel = self._buffer_model(moved) if model is None else model
+            d_buf = self._buffer_d_buf(moved, bufmodel[2])
 
         appdeltas: Optional[_AppDeltas] = None
         if app_index is not None:
@@ -1616,14 +1637,14 @@ class DeltaAnalyzer:
     def _sweep_fallback(
         self, tid: int, pes: Sequence[int], objective, as_objective: bool
     ):
-        """Per-candidate scoring for the mapping-dependent buffer modes.
+        """Target sweep for the mapping-dependent buffer modes.
 
-        The firstPeriod cone a move shifts depends on the *target* PE, so
-        there is no shared precomputation to exploit — each candidate runs
-        the (integer-indexed) delta path.  Same result types as
-        :meth:`_sweep`.  Under the ``cython`` backend the whole sweep
-        runs natively (except for objectives that need per-app periods,
-        which stay on the Python delta path).
+        Each candidate is scored through the exact delta path, with the
+        buffer model shared across neighbour-free targets (see
+        :meth:`_sweep_deltas`).  Same result types as :meth:`_sweep`.
+        Under the ``cython`` backend the whole sweep runs natively
+        (except for objectives that need per-app periods, which stay on
+        the Python delta path).
         """
         if self._ck is not None and (
             objective is None
@@ -1651,16 +1672,52 @@ class DeltaAnalyzer:
                 )
                 for d, v in verdicts
             ]
+        if as_objective:
+            return [
+                self._evaluate(deltas, objective)
+                for deltas in self._sweep_deltas(tid, pes)
+            ]
+        return [self._score(deltas) for deltas in self._sweep_deltas(tid, pes)]
+
+    def _sweep_deltas(
+        self, tid: int, pes: Sequence[int]
+    ) -> List[Optional[_Deltas]]:
+        """``_deltas_ids({tid: pe})`` for each PE in ``pes`` (``None`` at
+        the origin), deriving the buffer model once for all targets that
+        host none of the task's neighbours.
+
+        A move's buffer model depends on its target only through
+        same-PE tests between the task and its neighbours, all false on
+        such a target, so ``fp_new``/``esize_new``/``need_new`` are one
+        value for the whole class.  ``d_buf`` is assembled per target:
+        a target may host a resident whose footprint changes, and that
+        PE's float sum follows :meth:`_buffer_d_buf`'s order.  Targets
+        hosting a neighbour take the full derivation.
+        """
+        cg = self._cg
         pe_list = self._pe
         origin = pe_list[tid]
-        out = []
+        in_src, out_dst = cg.in_src, cg.out_dst
+        hosts = {
+            pe_list[in_src[k]] for k in range(cg.in_ptr[tid], cg.in_ptr[tid + 1])
+        }
+        hosts.update(
+            pe_list[out_dst[k]]
+            for k in range(cg.out_ptr[tid], cg.out_ptr[tid + 1])
+        )
+        shared: Optional[_BufModel] = None
+        out: List[Optional[_Deltas]] = []
         for pe in pes:
-            deltas = None if pe == origin else self._deltas_ids({tid: pe})
-            out.append(
-                self._evaluate(deltas, objective)
-                if as_objective
-                else self._score(deltas)
-            )
+            if pe == origin:
+                out.append(None)
+                continue
+            moved = {tid: pe}
+            if pe in hosts:
+                out.append(self._deltas_ids(moved))
+                continue
+            if shared is None:
+                shared = self._buffer_model(moved)
+            out.append(self._deltas_ids(moved, model=shared))
         return out
 
     # ------------------------------------------------------------------ #
@@ -1979,14 +2036,18 @@ class DeltaAnalyzer:
     # Two-phase neighbourhood selection
 
     def _ranker(self):
-        """The dense kernel phase 1 ranks with, or ``None`` (scalar).
+        """The dense kernel for phase-1 ranking and population passes,
+        or ``None`` (scalar).
 
         A default-mode analyzer's own batch kernel.  A mapping-dependent
-        analyzer has none — its public batch APIs stay on the exact
-        per-candidate path — so it builds a private mirror here on first
-        use (never in :meth:`clone` / :meth:`copy_from`) and reads only
-        its ``worst``/``aworst`` terms: the period does not depend on the
-        buffer model, while the mirror's ``nviol`` assumes the default one.
+        analyzer has none — its move and swap batch APIs stay on the
+        exact per-candidate path — so it builds a private mirror here on
+        first use (never in :meth:`clone` / :meth:`copy_from`).  Ranking
+        reads only the mirror's ``worst``/``aworst`` terms (the period
+        does not depend on the buffer model; the move kernel's ``nviol``
+        assumes the default one), while ``assignment_matrix`` derives
+        each row's mapping-dependent footprints itself, so its verdicts
+        are exact.
         """
         if self._kernel is not None or self.backend == "python":
             return self._kernel
@@ -2431,6 +2492,23 @@ class DeltaAnalyzer:
             out.append(ObjectiveScore(value, w, nv == 0, nv))
         return out
 
+    def _population_kernel(self, objective):
+        """The dense kernel a population pass runs on, or ``None`` for
+        the per-candidate path.
+
+        The dense pass everywhere except where the compiled extension
+        scores a mapping-dependent candidate natively (objectives without
+        per-app periods): there the native per-candidate path is the
+        faster one on the GA's populations.
+        """
+        if (
+            self._mapping_dependent
+            and self._ck is not None
+            and not getattr(objective, "needs_app_periods", False)
+        ):
+            return None
+        return self._ranker()
+
     def _assignment_rows(self, assignments: Sequence[Dict[str, int]]):
         """Candidate full mappings as a (K, n) PE matrix, validated."""
         import numpy as np
@@ -2461,21 +2539,21 @@ class DeltaAnalyzer:
 
         Each element of ``assignments`` is a change set relative to the
         current state (``{}`` scores the state itself); entry ``k``
-        equals ``score_changes(assignments[k])``.  With the dense kernel
-        the K clones are scored by a single from-scratch matrix
-        pass — the GA's generation-evaluation hot path.
+        has the verdict of ``score_changes(assignments[k])``.  On the
+        fast engine (see :meth:`_population_kernel`) the K candidates
+        are scored by a single from-scratch matrix pass — the GA's
+        generation-evaluation hot path — whose floats are
+        ``analyze()``'s for each candidate mapping.
         """
         assignments = [dict(ch) for ch in assignments]
-        if (
-            self._kernel is None
-            or len(assignments) < self._VECTOR_MIN_TASKS
-        ):
+        kernel = self._population_kernel(None)
+        if kernel is None or len(assignments) < self._VECTOR_MIN_TASKS:
             return [self.score_changes(ch) for ch in assignments]
         reg = _metrics.REGISTRY
         if reg is not None:
             reg.inc("bulk_changes", len(assignments))
         P = self._assignment_rows(assignments)
-        period, nviol, _apps = self._kernel.assignment_matrix(P, False)
+        period, nviol, _apps = kernel.assignment_matrix(P, False)
         out: List[MoveScore] = []
         for k in range(len(assignments)):
             nv = int(nviol[k])
@@ -2490,17 +2568,19 @@ class DeltaAnalyzer:
     ) -> List[ObjectiveScore]:
         """Objective scores of K whole candidate mappings, batched.
 
-        Entry ``k`` equals ``evaluate_changes(assignments[k],
+        Entry ``k`` has the verdict of ``evaluate_changes(assignments[k],
         objective)``; per-application periods (when the objective needs
-        them) come from the same population pass.
+        them) come from the same population pass (see
+        :meth:`score_assignments`).
         """
         assignments = [dict(ch) for ch in assignments]
         cg = self._cg
         needs_apps = objective is not None and getattr(
             objective, "needs_app_periods", False
         )
+        kernel = self._population_kernel(objective)
         if (
-            self._kernel is None
+            kernel is None
             or len(assignments) < self._VECTOR_MIN_TASKS
             or (needs_apps and cg.app_index is None)
         ):
@@ -2511,9 +2591,7 @@ class DeltaAnalyzer:
         if reg is not None:
             reg.inc("bulk_changes", len(assignments))
         P = self._assignment_rows(assignments)
-        period, nviol, app_mat = self._kernel.assignment_matrix(
-            P, needs_apps
-        )
+        period, nviol, app_mat = kernel.assignment_matrix(P, needs_apps)
         out: List[ObjectiveScore] = []
         for k in range(len(assignments)):
             w = float(period[k])

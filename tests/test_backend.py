@@ -16,6 +16,7 @@ import random
 import pytest
 
 from test_delta import PLATFORMS, integer_cost_graph
+from test_md_population import MD_MODES
 
 from repro.errors import KernelBackendError, MappingError
 from repro.heuristics import critical_path_mapping, local_search, tabu_search
@@ -310,7 +311,8 @@ def test_large_random_graph_cross_check():
     """Nightly: the scalar kernel and ``auto`` agree verdict for verdict
     on graphs an order of magnitude past the tier-1 sizes, interleaved
     with applies (exercises the cached-state invalidation paths at
-    scale)."""
+    scale) — and so do the mapping-dependent population batches, on
+    ``auto`` and on the dense numpy pass."""
     for seed in range(4):
         g = integer_cost_graph(seed, n_min=120, n_max=180)
         platform = PLATFORMS[seed % len(PLATFORMS)]
@@ -357,3 +359,17 @@ def test_large_random_graph_cross_check():
                     other.apply_move(name, pe)
             for other in states:
                 assert other.snapshot() == scalar.snapshot()
+        batch = candidates + [
+            {n: rng.randrange(n_pes) for n in names} for _ in range(16)
+        ]
+        for mode in MD_MODES:
+            md_scalar = DeltaAnalyzer(mapping, backend="python", **mode)
+            with pytest.MonkeyPatch.context() as mp:
+                md_states = [DeltaAnalyzer(mapping, backend="auto", **mode)]
+                mp.setenv(NO_EXTENSION_ENV_VAR, "1")
+                md_states.append(DeltaAnalyzer(mapping, backend="auto", **mode))
+            expected = [md_scalar.score_changes(ch) for ch in batch]
+            expected_eval = [md_scalar.evaluate_changes(ch) for ch in batch]
+            for other in md_states:
+                assert other.score_assignments(batch) == expected
+                assert other.evaluate_assignments(batch) == expected_eval

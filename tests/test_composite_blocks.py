@@ -129,7 +129,7 @@ def test_assembly_exact_under_churn(ops):
             graph = w.app(name).graph
             task = graph.task(graph.task_names()[seed % graph.n_tasks])
             graph.replace_task(task.scaled(1.5))
-            if seed % 2:
+            if seed % 2 and f"x{seed}" not in graph:  # names stay unique
                 graph.add_task(Task(f"x{seed}", wppe=3, wspe=4.5))
                 graph.add_edge(DataEdge(task.name, f"x{seed}", 100))
         if len(w):

@@ -18,9 +18,9 @@ the same mapping:
 * on the benchmark's graph1/graph3 runs (both buffer flags, QS22,
   ``auto``) for the benchmark seeds 101–103.
 
-Plus: building the selection's dense mirror leaves every public batch
-API of a mapping-dependent analyzer unchanged, and metrics/tracing
-never change a choice.
+Plus: building the dense mirror leaves every public batch API of a
+mapping-dependent analyzer unchanged, and metrics/tracing never change
+a choice.
 """
 
 import contextlib
@@ -171,10 +171,9 @@ def test_benchmark_runs_match_eager_scan(name, build):
             )
 
 
-def batch_results(state):
+def move_swap_results(state):
     names = state.graph.task_names()
     pairs = [(a, b) for a in names[:4] for b in names[4:8]]
-    changes = [{}, {names[0]: 1, names[2]: 3}, {names[1]: 0}]
     return [
         state.score_moves(names[0]),
         state.evaluate_moves(names[1]),
@@ -182,26 +181,41 @@ def batch_results(state):
         state.evaluate_all_moves(),
         state.score_swaps(pairs),
         state.evaluate_swaps(pairs),
-        state.score_assignments(changes),
-        state.evaluate_assignments(changes),
     ]
 
 
 @pytest.mark.parametrize("mode", MODES[1:], ids=MODE_IDS[1:])
 @pytest.mark.parametrize("platform", sorted(PLATFORMS))
 def test_mirror_leaves_public_batch_apis_unchanged(mode, platform):
-    """The ranking mirror is private: an md analyzer's batch verdicts are
-    the exact per-candidate ones before and after it is built, and its
-    clones start without one."""
+    """The dense mirror never changes a verdict: an md analyzer's batch
+    verdicts are the exact per-candidate ones before and after it is
+    built.  The move and swap batch APIs never build it; the assignment
+    batches do on the numpy engine (the compiled extension scores md
+    candidates natively); its clones start without one."""
     graph = integer_cost_graph(17, n_min=10, n_max=14)
     with kernel("auto"):
         state = DeltaAnalyzer(random_start(graph, PLATFORMS[platform], 3), **mode)
-        before = batch_results(state)
+        names = graph.task_names()
+        changes = [{}, {names[0]: 1, names[2]: 3}, {names[1]: 0}]
+        before = move_swap_results(state)
+        per_candidate = [
+            [state.score_changes(ch) for ch in changes],
+            [state.evaluate_changes(ch) for ch in changes],
+        ]
         assert state._rank_mirror is None
+        assert [
+            state.score_assignments(changes),
+            state.evaluate_assignments(changes),
+        ] == per_candidate
+        assert (state._rank_mirror is not None) == (state.backend == "numpy")
         state.best_candidate(swaps=True)
         assert state._rank_mirror is not None
         assert state._kernel is None
-        assert batch_results(state) == before
+        assert move_swap_results(state) == before
+        assert [
+            state.score_assignments(changes),
+            state.evaluate_assignments(changes),
+        ] == per_candidate
         assert state.clone()._rank_mirror is None
 
 
