@@ -341,7 +341,7 @@ def test_md_population_speedup_guard(graph, platform, mapping):
         dense = _analyzer(mapping, "numpy", **kwargs)
         scalar = _analyzer(mapping, "python", **kwargs)
         scores = dense.score_assignments(population)
-        assert dense._rank_mirror is not None  # the dense pass ran
+        assert dense._dense_kernel is not None  # the dense pass ran
         for changes, score, ref in zip(
             population,
             scores,

@@ -848,7 +848,7 @@ compute_deltas(const Ctx *c, Scratch *s, Py_ssize_t nm,
 }
 
 /* ---------------------------------------------------------------- */
-/* _score / _violation_shift                                         */
+/* _judge / _violation_shift                                         */
 
 static long
 violation_shift(const Ctx *c, const Scratch *s)

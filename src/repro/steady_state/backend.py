@@ -11,14 +11,18 @@ engines, picked once per analyzer:
     cost graphs (and within one ulp otherwise, where summation order
     differs).
 ``auto`` (the default)
-    The fast engine.  In the default buffer model numpy's dense kernels
-    (:mod:`.backend_numpy`) score whole neighbourhoods, swap-pair sets
-    and GA populations in matrix passes.  When the compiled extension
+    The fast engine.  Each analyzer holds one numpy dense kernel
+    (:mod:`.backend_numpy`), built on first use.  In the default buffer
+    model it scores whole neighbourhoods and swap-pair sets in matrix
+    passes; in every buffer model it ranks the two-phase selections and
+    scores GA populations.  When the compiled extension
     (:mod:`.backend_cython` over ``repro.steady_state._ckernel``)
     imports, it also runs the scalar hot paths the dense kernels leave
-    to Python: per-candidate scoring in the mapping-dependent buffer
-    modes (including the incremental ``firstPeriod`` worklist), the
-    ``_apply``/resync commit path and in-place clone-state copies.
+    to Python, at four chokepoints: the per-candidate verdict, the
+    mapping-dependent target sweep (including the incremental
+    ``firstPeriod`` worklist), the commit path and the mapping-dependent
+    population pass; plus the resync rebuild and in-place clone-state
+    copies.
 
 A selection resolves to a label that names the engine that ran:
 ``python``, ``numpy`` (fast engine without the extension) or ``cython``

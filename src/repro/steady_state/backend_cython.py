@@ -5,7 +5,7 @@ The extension module (``repro.steady_state._ckernel``, built from
 ``_ckernel.c`` by ``setup.py``) operates directly on the analyzer's own
 Python containers — it mirrors the exact float-accumulation order of
 ``DeltaAnalyzer._deltas_ids`` / ``_buffer_model`` / ``_buffer_d_buf`` /
-``_score`` / ``_apply`` / ``_rebuild``, so every verdict and every piece
+``_judge`` / ``_apply`` / ``_rebuild``, so every verdict and every piece
 of committed state is bit-identical to the scalar kernel (the one
 documented ordering liberty, iterating the dirty-task footprint in
 discovery order, permutes only commutative additions and is exact on
@@ -13,16 +13,25 @@ integer-cost graphs, the same caveat :mod:`backend_numpy` carries).
 Because the extension holds no mirrored state there is nothing to
 invalidate: every call re-reads the analyzer.
 
-Covered paths (the ones the ISSUE names):
+Covered paths.  ``DeltaAnalyzer`` dispatches here at four
+chokepoints, for objectives that need no per-application periods:
 
-* per-candidate move/swap/changes scoring in the mapping-dependent
-  buffer modes, including the incremental ``firstPeriod`` worklist
-  (:meth:`CKernel.sweep`, :meth:`CKernel.score_ids`);
-* the ``_apply``/resync hot path every strategy step and every online
-  commit goes through (:meth:`CKernel.apply_ids`,
-  :meth:`CKernel.try_apply_ids`, :meth:`CKernel.rebuild`);
-* array-based clone pooling for the GA (:meth:`CKernel.copy_state`,
-  used by :meth:`DeltaAnalyzer.copy_from` / :class:`ClonePool`).
+* the per-candidate verdict of a move, swap or change set, in every
+  buffer model (``_verdict`` → :meth:`CKernel.score_ids`);
+* the target sweep of the mapping-dependent buffer modes, including the
+  incremental ``firstPeriod`` worklist (``_target_sweep`` →
+  :meth:`CKernel.sweep`);
+* the commit path every strategy step and every online commit goes
+  through (``_commit`` → :meth:`CKernel.apply_ids`,
+  :meth:`CKernel.try_apply_ids`);
+* the population pass, which in the mapping-dependent modes scores
+  each candidate through the per-candidate verdict above instead of
+  the dense kernel (``_population_kernel``).
+
+Besides these, the from-scratch ``resync`` rebuild
+(:meth:`CKernel.rebuild`) and array-based clone pooling for the GA
+(:meth:`CKernel.copy_state`, used by :meth:`DeltaAnalyzer.copy_from` /
+:class:`ClonePool`) run natively.
 """
 
 from __future__ import annotations

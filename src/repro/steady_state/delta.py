@@ -56,13 +56,27 @@ two highest cached peaks outside the origin are found once (O(n_pes)),
 and each candidate then costs O(1) arithmetic — no dictionaries, no
 re-walk.  Under the mapping-dependent buffer models (below) a move's
 buffer cost can depend on its target (the ``firstPeriod`` cone shifts),
-so the public batched entry points score each candidate through the
-exact per-candidate delta path — same results, still integer-indexed —
-but derive the buffer model once for every target hosting none of the
+so the batched entry points score each candidate through the exact
+per-candidate delta path — same results, still integer-indexed — but
+derive the buffer model once for every target hosting none of the
 task's neighbours, where it cannot differ (:meth:`_sweep_deltas`).
 Whole-mapping batches (``score_assignments`` / ``evaluate_assignments``,
 the GA's population pass) run as one dense from-scratch pass in every
 buffer model on the fast engine.
+
+Every ``score_X`` and its ``evaluate_X`` twin share one private
+implementation that builds the :class:`MoveScore` or
+:class:`ObjectiveScore` once, at the end.  Under ``auto`` the analyzer
+holds one numpy dense kernel, built on first use (:meth:`_dense`).
+Its move and swap violation counts assume the default buffer model,
+so the move and swap batch APIs use it only when the analyzer is not
+mapping-dependent; its periods and its population pass are exact in
+every model.  The compiled extension, when built, is reached at four
+chokepoints only: the per-candidate verdict (:meth:`_verdict`), the
+target sweep (:meth:`_target_sweep`), the commit path
+(:meth:`_commit`) and the population pass
+(:meth:`_population_kernel`); the resync rebuild and the clone-state
+copy run natively too.
 
 Two-phase neighbourhood selection
 ---------------------------------
@@ -70,26 +84,28 @@ Two-phase neighbourhood selection
 A search step needs one candidate, not every verdict.
 :meth:`best_candidate` (the ``local_search`` / ``tabu_search`` step)
 and :meth:`best_move` (the ``budgeted_descent`` / online-admission
-primitive) therefore select in two phases:
+primitive, whenever it batches: two or more tasks, or any
+mapping-dependent call) therefore select in two phases through one
+helper, :meth:`_select`:
 
 1. **rank** every candidate by its objective value, computed *without*
    the mapping-dependent buffer model — the period never depends on it;
    the model only decides the local-store constraint (1i).  Under
    ``auto`` the values come from the dense kernel's ``worst`` /
-   ``aworst`` matrices (a mapping-dependent analyzer builds a private
-   dense mirror on first use, whose violation terms are never read);
-   under ``python``, and for swaps on multi-Cell platforms, from the
-   scalar per-candidate path with the buffer derivation skipped — the
-   same floats as the exact path;
+   ``aworst`` matrices; under ``python``, and for swaps on multi-Cell
+   platforms, from the scalar per-candidate path with the buffer
+   derivation skipped — the same floats as the exact path;
 2. **confirm** the candidates that pass the caller's bound in (value,
-   visit order) order through the unchanged exact path, and return the
-   first feasible one with its exact score.
+   visit order) order through the exact per-candidate verdict, and
+   return the first feasible one with its exact score.
 
 The pick is the one an eager scan keeping the strictly-best feasible
 candidate makes (bit-for-bit under ``python``; under ``auto`` the
 ranking inherits the dense kernel's ulp contract on non-integer graphs,
 while every verdict stays exact).  In the default buffer model the
-dense verdicts are already exact, so phase 2 is a lookup.  The
+dense verdicts are already exact, so phase 2 is a lookup.  A one-task
+:meth:`best_move` in the default buffer model (the online insertion
+step) is one target sweep instead, which is cheaper at that size.  The
 ``candidates_ranked`` / ``candidates_confirmed`` metrics count the two
 phases.
 
@@ -161,11 +177,10 @@ from .objective import PeriodObjective
 from .periods import buffer_sizes, first_periods
 from .periods import buffer_requirements as _buffer_requirements
 from .throughput import (
-    LinkLoad,
     PeriodAnalysis,
     ResourceLoad,
-    Violation,
     app_periods_from_loads,
+    violations_and_links,
 )
 
 __all__ = ["ClonePool", "DeltaAnalyzer", "MoveScore", "ObjectiveScore"]
@@ -363,22 +378,23 @@ class DeltaAnalyzer:
             reg.inc("backend_dispatches." + self.backend)
         self._ck = self._make_ckernel()
         self._rebuild()
-        self._kernel = self._make_kernel()
-        #: Dense ranking mirror of a mapping-dependent analyzer, built on
-        #: first use by the two-phase selection (see :meth:`_ranker`).
-        self._rank_mirror = None
+        #: The numpy dense kernel, built on first use (see :meth:`_dense`).
+        self._dense_kernel = None
 
-    def _make_kernel(self):
-        """The dense numpy batch kernel: fast engine, default buffer
-        model only.  The mapping-dependent modes score moves and swaps
-        one target at a time; their dense work (ranking, population
-        passes) goes through :meth:`_ranker`'s mirror, built on first
-        use."""
-        if self.backend == "python" or self._mapping_dependent:
-            return None
-        from .backend_numpy import NumpyKernel
+    def _dense(self):
+        """The numpy dense kernel of the fast engine, or ``None`` under
+        ``python``; built on first use, never copied by :meth:`clone`.
 
-        return NumpyKernel(self)
+        Its ``worst``/``aworst`` terms (periods) and its population
+        pass are exact in every buffer model.  Its move and swap
+        violation counts assume the default model, so the batch APIs
+        read them only when the analyzer is not ``_mapping_dependent``.
+        """
+        if self._dense_kernel is None and self.backend != "python":
+            from .backend_numpy import NumpyKernel
+
+            self._dense_kernel = NumpyKernel(self)
+        return self._dense_kernel
 
     def _make_ckernel(self):
         if self.backend != "cython":
@@ -589,8 +605,7 @@ class DeltaAnalyzer:
         new._state_version = 0
         new.backend = self.backend
         new._ck = new._make_ckernel()
-        new._kernel = new._make_kernel()
-        new._rank_mirror = None
+        new._dense_kernel = None
         return new
 
     def compatible_with(self, other: "DeltaAnalyzer") -> bool:
@@ -620,45 +635,49 @@ class DeltaAnalyzer:
                 "copy_from requires clones of the same analyzer "
                 "(same compiled graph, platform, flags and backend)"
             )
-        if self._ck is not None:
-            self._ck.copy_state(other)
-        else:
-            self._pe[:] = other._pe
-            for mine, theirs in zip(self._members, other._members):
-                mine.clear()
-                mine.update(theirs)
-            if self._mapping_dependent:
-                self._need[:] = other._need
-            if other._fp is not None:
-                self._fp[:] = other._fp
-            if other._esize is not None:
-                self._esize[:] = other._esize
-            self._compute[:] = other._compute
-            self._in_bytes[:] = other._in_bytes
-            self._out_bytes[:] = other._out_bytes
-            self._peak[:] = other._peak
-            for mine_d, theirs_d in (
-                (self._buffer, other._buffer),
-                (self._dma_in, other._dma_in),
-                (self._dma_proxy, other._dma_proxy),
-                (self._link_bytes, other._link_bytes),
-                (self._link_count, other._link_count),
-                (self._app_link_bytes, other._app_link_bytes),
-                (self._app_link_count, other._app_link_count),
-            ):
-                mine_d.clear()
-                mine_d.update(theirs_d)
-            for mine_rows, theirs_rows in (
-                (self._app_compute, other._app_compute),
-                (self._app_in, other._app_in),
-                (self._app_out, other._app_out),
-                (self._app_peak, other._app_peak),
-            ):
-                for mine_row, theirs_row in zip(mine_rows, theirs_rows):
-                    mine_row[:] = theirs_row
-            self._n_violations = other._n_violations
+        self._copy_state(other)
         self._state_version += 1
         return self
+
+    def _copy_state(self, other: "DeltaAnalyzer") -> None:
+        """The in-place state copy behind :meth:`copy_from`."""
+        if self._ck is not None:
+            self._ck.copy_state(other)
+            return
+        self._pe[:] = other._pe
+        for mine, theirs in zip(self._members, other._members):
+            mine.clear()
+            mine.update(theirs)
+        if self._mapping_dependent:
+            self._need[:] = other._need
+        if other._fp is not None:
+            self._fp[:] = other._fp
+        if other._esize is not None:
+            self._esize[:] = other._esize
+        self._compute[:] = other._compute
+        self._in_bytes[:] = other._in_bytes
+        self._out_bytes[:] = other._out_bytes
+        self._peak[:] = other._peak
+        for mine_d, theirs_d in (
+            (self._buffer, other._buffer),
+            (self._dma_in, other._dma_in),
+            (self._dma_proxy, other._dma_proxy),
+            (self._link_bytes, other._link_bytes),
+            (self._link_count, other._link_count),
+            (self._app_link_bytes, other._app_link_bytes),
+            (self._app_link_count, other._app_link_count),
+        ):
+            mine_d.clear()
+            mine_d.update(theirs_d)
+        for mine_rows, theirs_rows in (
+            (self._app_compute, other._app_compute),
+            (self._app_in, other._app_in),
+            (self._app_out, other._app_out),
+            (self._app_peak, other._app_peak),
+        ):
+            for mine_row, theirs_row in zip(mine_rows, theirs_rows):
+                mine_row[:] = theirs_row
+        self._n_violations = other._n_violations
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -712,11 +731,7 @@ class DeltaAnalyzer:
 
     def score(self) -> MoveScore:
         """Score of the *current* state (no hypothetical move)."""
-        return MoveScore(
-            period=self.period(),
-            feasible=self._n_violations == 0,
-            n_violations=self._n_violations,
-        )
+        return self._judge(None, None, False)
 
     def app_periods(self) -> Dict[str, float]:
         """Per-application periods of the current state (see ``analyze``).
@@ -920,19 +935,6 @@ class DeltaAnalyzer:
                 moved[tid] = pe
         return moved
 
-    def _deltas(self, changes: Dict[str, int]) -> Optional[_Deltas]:
-        """Per-resource deltas for applying ``changes`` simultaneously.
-
-        O(sum of degrees of the moved tasks) — plus, under
-        ``elide_local_comm``, the affected downstream region (see the
-        module docstring).  Returns ``None`` when no task actually changes
-        PE.
-        """
-        moved = self._to_moved(changes)
-        if not moved:
-            return None
-        return self._deltas_ids(moved)
-
     def _deltas_ids(
         self,
         moved: Dict[int, int],
@@ -1085,20 +1087,6 @@ class DeltaAnalyzer:
             shift += (old + dv > proxy_slots) - (old > proxy_slots)
         return shift
 
-    def _score(self, deltas: Optional[_Deltas]) -> MoveScore:
-        if deltas is None:
-            return self.score()
-        (_moved, _d_compute, _d_in, _d_out, d_buf,
-         d_dma_in, d_dma_proxy, _d_link, _d_link_n, _bufmodel,
-         _appdeltas) = deltas
-        worst = self._candidate_period(deltas)
-        n_violations = self._n_violations + self._violation_shift(
-            d_buf, d_dma_in, d_dma_proxy
-        )
-        return MoveScore(
-            period=worst, feasible=n_violations == 0, n_violations=n_violations
-        )
-
     def _candidate_period(self, deltas: _Deltas) -> float:
         """Period of the hypothetical state ``deltas`` describes."""
         (_moved, d_compute, d_in, d_out, _d_buf,
@@ -1195,36 +1183,45 @@ class DeltaAnalyzer:
             return objective.value(period, None)
         return objective.value(period, self._candidate_app_periods(deltas))
 
-    def _evaluate(self, deltas: Optional[_Deltas], objective) -> ObjectiveScore:
-        score = self._score(deltas)
-        return ObjectiveScore(
-            value=self._value(score.period, deltas, objective),
-            period=score.period,
-            feasible=score.feasible,
-            n_violations=score.n_violations,
+    def _score_of(self, period, nviol, deltas, objective, as_objective):
+        """The verdict, built once: a :class:`MoveScore`, or with
+        ``as_objective`` an :class:`ObjectiveScore` whose value comes
+        from ``objective`` (``None``: the plain period)."""
+        if not as_objective:
+            return MoveScore(period, nviol == 0, nviol)
+        value = self._value(period, deltas, objective)
+        return ObjectiveScore(value, period, nviol == 0, nviol)
+
+    def _judge(self, deltas: Optional[_Deltas], objective, as_objective):
+        """Verdict of the candidate ``deltas`` describes (``None``: the
+        current state) through the scalar delta path."""
+        if deltas is None:
+            period, nviol = self.period(), self._n_violations
+        else:
+            period = self._candidate_period(deltas)
+            nviol = self._n_violations + self._violation_shift(
+                deltas[4], deltas[5], deltas[6]
+            )
+        return self._score_of(period, nviol, deltas, objective, as_objective)
+
+    def _native(self, objective) -> bool:
+        """Whether the compiled extension serves a verdict under
+        ``objective``: it computes no per-application periods."""
+        return self._ck is not None and not getattr(
+            objective, "needs_app_periods", False
         )
 
-    def _evaluate_ids(self, moved: Dict[int, int], objective) -> ObjectiveScore:
-        """Exact objective score of a pre-validated tid → PE move set —
-        the per-candidate path of ``evaluate_move``/``evaluate_swap``
-        (native under the ``cython`` backend), without the metrics."""
-        if not moved:
-            return self._evaluate(None, objective)
-        if self._ck is not None and not getattr(
-            objective, "needs_app_periods", False
-        ):
+    def _verdict(self, moved: Dict[int, int], objective, as_objective):
+        """Exact verdict of a pre-validated tid → PE move set — the
+        per-candidate chokepoint (native under the ``cython`` backend),
+        without the metrics."""
+        if moved and self._native(objective):
             period, nviol = self._ck.score_ids(moved)
-            return ObjectiveScore(
-                value=self._value(period, None, objective),
-                period=period,
-                feasible=nviol == 0,
-                n_violations=nviol,
-            )
-        return self._evaluate(self._deltas_ids(moved), objective)
+            return self._score_of(period, nviol, None, objective, as_objective)
+        deltas = self._deltas_ids(moved) if moved else None
+        return self._judge(deltas, objective, as_objective)
 
-    def _apply(self, deltas: Optional[_Deltas]) -> None:
-        if deltas is None:
-            return
+    def _apply(self, deltas: _Deltas) -> None:
         (moved, d_compute, d_in, d_out, d_buf,
          d_dma_in, d_dma_proxy, d_link, d_link_n, bufmodel,
          appdeltas) = deltas
@@ -1329,14 +1326,14 @@ class DeltaAnalyzer:
         edges are aggregated by neighbour PE once, the two highest cached
         peaks outside the origin are found once, and each candidate then
         costs O(1) arithmetic — identical verdicts to the per-candidate
-        ``_deltas`` + ``_score`` path (bit-identical on integer-valued
+        ``_deltas_ids`` + ``_judge`` path (bit-identical on integer-valued
         graphs, within the usual ulp contract otherwise).  Entries whose
         target equals the origin hold the current-state score.
 
         With ``as_objective`` the entries are :class:`ObjectiveScore`
         (``objective=None`` meaning the plain period objective), else
         :class:`MoveScore`.  Mapping-dependent modes never reach this —
-        the public wrappers fall back to the per-candidate path first.
+        :meth:`_target_sweep` routes them to the per-candidate path.
         """
         cg = self._cg
         pe_list = self._pe
@@ -1495,11 +1492,7 @@ class DeltaAnalyzer:
         for p in pes:
             if p == o:
                 if current is None:
-                    current = (
-                        self._evaluate(None, objective)
-                        if as_objective
-                        else self.score()
-                    )
+                    current = self._judge(None, objective, as_objective)
                 results_append(current)
                 continue
             p_is_ppe = is_ppe[p]
@@ -1634,51 +1627,6 @@ class DeltaAnalyzer:
             results.append(ObjectiveScore(value, worst, feasible, nviol))
         return results
 
-    def _sweep_fallback(
-        self, tid: int, pes: Sequence[int], objective, as_objective: bool
-    ):
-        """Target sweep for the mapping-dependent buffer modes.
-
-        Each candidate is scored through the exact delta path, with the
-        buffer model shared across neighbour-free targets (see
-        :meth:`_sweep_deltas`).  Same result types as :meth:`_sweep`.
-        Under the ``cython`` backend the whole sweep runs natively
-        (except for objectives that need per-app periods, which stay on
-        the Python delta path).
-        """
-        if self._ck is not None and (
-            objective is None
-            or not getattr(objective, "needs_app_periods", False)
-        ):
-            verdicts = self._ck.sweep(tid, pes)
-            if not as_objective:
-                return [
-                    MoveScore(period=d, feasible=v == 0, n_violations=v)
-                    for d, v in verdicts
-                ]
-            if objective is None:
-                return [
-                    ObjectiveScore(
-                        value=d, period=d, feasible=v == 0, n_violations=v
-                    )
-                    for d, v in verdicts
-                ]
-            return [
-                ObjectiveScore(
-                    value=objective.value(d, None),
-                    period=d,
-                    feasible=v == 0,
-                    n_violations=v,
-                )
-                for d, v in verdicts
-            ]
-        if as_objective:
-            return [
-                self._evaluate(deltas, objective)
-                for deltas in self._sweep_deltas(tid, pes)
-            ]
-        return [self._score(deltas) for deltas in self._sweep_deltas(tid, pes)]
-
     def _sweep_deltas(
         self, tid: int, pes: Sequence[int]
     ) -> List[Optional[_Deltas]]:
@@ -1720,28 +1668,34 @@ class DeltaAnalyzer:
             out.append(self._deltas_ids(moved, model=shared))
         return out
 
+    def _target_sweep(self, tid: int, pes: Sequence[int], objective, as_objective):
+        """Verdicts of moving ``tid`` to each PE in ``pes`` — the target
+        sweep chokepoint.
+
+        The default buffer model takes :meth:`_sweep`.  The
+        mapping-dependent modes score every candidate exactly: natively
+        under the ``cython`` backend (see :meth:`_native`), else through
+        the delta path with the buffer model shared across
+        neighbour-free targets (:meth:`_sweep_deltas`).  Entries whose
+        target is the origin hold the current state's verdict.
+        """
+        if not self._mapping_dependent:
+            return self._sweep(tid, pes, objective, as_objective)
+        if self._native(objective):
+            return [
+                self._score_of(period, nviol, None, objective, as_objective)
+                for period, nviol in self._ck.sweep(tid, pes)
+            ]
+        return [
+            self._judge(deltas, objective, as_objective)
+            for deltas in self._sweep_deltas(tid, pes)
+        ]
+
     # ------------------------------------------------------------------ #
-    # Compiled-extension dispatch helpers (``cython`` backend only)
+    # Public move/swap API (each score_X / evaluate_X twin shares one
+    # private implementation, see the module docstring)
 
-    def _ck_score(self, changes: Dict[str, int]) -> MoveScore:
-        moved = self._to_moved(changes)
-        if not moved:
-            return self.score()
-        period, nviol = self._ck.score_ids(moved)
-        return MoveScore(
-            period=period, feasible=nviol == 0, n_violations=nviol
-        )
-
-    def _ck_apply(self, changes: Dict[str, int]) -> None:
-        moved = self._to_moved(changes)
-        if moved:
-            self._ck.apply_ids(moved)
-
-    # ------------------------------------------------------------------ #
-    # Public move/swap API
-
-    def score_move(self, task: str, pe: int) -> MoveScore:
-        """Score of the mapping with ``task`` moved to ``pe`` — O(deg(task))."""
+    def _move(self, task: str, pe: int, objective, as_objective):
         reg = _metrics.REGISTRY
         if reg is not None:
             reg.inc("moves_scored")
@@ -1751,18 +1705,29 @@ class DeltaAnalyzer:
                 f"task {task!r} moved to invalid PE {pe!r} "
                 f"(platform has {self._n_pes} PEs)"
             )
-        if self._ck is not None:
-            if pe == self._pe[tid]:
-                return self.score()
-            period, nviol = self._ck.score_ids({tid: pe})
-            return MoveScore(
-                period=period, feasible=nviol == 0, n_violations=nviol
-            )
-        if self._mapping_dependent:
-            if pe == self._pe[tid]:
-                return self.score()
-            return self._score(self._deltas_ids({tid: pe}))
-        return self._sweep(tid, (pe,), None, False)[0]
+        if self._mapping_dependent or self._native(objective):
+            moved = {} if pe == self._pe[tid] else {tid: pe}
+            return self._verdict(moved, objective, as_objective)
+        return self._sweep(tid, (pe,), objective, as_objective)[0]
+
+    def score_move(self, task: str, pe: int) -> MoveScore:
+        """Score of the mapping with ``task`` moved to ``pe`` — O(deg(task))."""
+        return self._move(task, pe, None, False)
+
+    def evaluate_move(self, task: str, pe: int, objective=None) -> ObjectiveScore:
+        """Objective score with ``task`` moved to ``pe`` — O(deg(task))."""
+        return self._move(task, pe, objective, True)
+
+    def _moves(self, task: str, pes, objective, as_objective):
+        tid = self._tid(task)
+        if pes is None:
+            pes = range(self._n_pes)
+        else:
+            self._check_pes(pes)
+        reg = _metrics.REGISTRY
+        if reg is not None:
+            reg.inc("moves_scored", len(pes))
+        return self._target_sweep(tid, pes, objective, as_objective)
 
     def score_moves(
         self, task: str, pes: Optional[Sequence[int]] = None
@@ -1775,121 +1740,7 @@ class DeltaAnalyzer:
         precomputation plus O(1) per candidate — the full-neighbourhood
         hot path of the search heuristics (see the module docstring).
         """
-        tid = self._tid(task)
-        if pes is None:
-            pes = range(self._n_pes)
-        else:
-            self._check_pes(pes)
-        reg = _metrics.REGISTRY
-        if reg is not None:
-            reg.inc("moves_scored", len(pes))
-        if self._mapping_dependent:
-            return self._sweep_fallback(tid, pes, None, False)
-        return self._sweep(tid, pes, None, False)
-
-    def score_swap(self, a: str, b: str) -> MoveScore:
-        """Score of the mapping with tasks ``a`` and ``b`` exchanging PEs."""
-        reg = _metrics.REGISTRY
-        if reg is not None:
-            reg.inc("swaps_scored")
-        changes = {a: self.pe_of(b), b: self.pe_of(a)}
-        if self._ck is not None:
-            return self._ck_score(changes)
-        return self._score(self._deltas(changes))
-
-    def score_changes(self, changes: Dict[str, int]) -> MoveScore:
-        """Score of the mapping with all of ``changes`` applied at once.
-
-        ``changes`` maps task names to target PEs; tasks already on their
-        target are ignored.  This is the bulk interface population
-        metaheuristics use to evaluate crossover offspring in one pass.
-        """
-        reg = _metrics.REGISTRY
-        if reg is not None:
-            reg.inc("bulk_changes")
-        if self._ck is not None:
-            return self._ck_score(dict(changes))
-        return self._score(self._deltas(dict(changes)))
-
-    def apply_move(self, task: str, pe: int) -> None:
-        """Commit a single-task move into the cached state — O(deg(task))."""
-        if self._ck is not None:
-            self._ck_apply({task: pe})
-            return
-        self._apply(self._deltas({task: pe}))
-
-    def apply_swap(self, a: str, b: str) -> None:
-        """Commit a task-pair PE exchange into the cached state."""
-        changes = {a: self.pe_of(b), b: self.pe_of(a)}
-        if self._ck is not None:
-            self._ck_apply(changes)
-            return
-        self._apply(self._deltas(changes))
-
-    @_traced("kernel:apply_changes")
-    def apply_changes(self, changes: Dict[str, int]) -> None:
-        """Commit a set of simultaneous task moves into the cached state."""
-        if self._ck is not None:
-            self._ck_apply(dict(changes))
-            return
-        self._apply(self._deltas(dict(changes)))
-
-    def try_apply_changes(self, changes: Dict[str, int]) -> MoveScore:
-        """Score ``changes`` and commit them only when feasible.
-
-        One delta computation serves both the verdict and the commit —
-        half the cost of ``score_changes`` + ``apply_changes`` on the
-        population-search hot path.  Returns the score of the candidate
-        state whether or not it was committed.
-        """
-        reg = _metrics.REGISTRY
-        if reg is not None:
-            reg.inc("bulk_changes")
-        if self._ck is not None:
-            moved = self._to_moved(dict(changes))
-            if not moved:
-                return self.score()
-            period, nviol, _applied = self._ck.try_apply_ids(moved)
-            return MoveScore(
-                period=period, feasible=nviol == 0, n_violations=nviol
-            )
-        deltas = self._deltas(dict(changes))
-        score = self._score(deltas)
-        if score.feasible:
-            self._apply(deltas)
-        return score
-
-    # ------------------------------------------------------------------ #
-    # Objective-aware evaluation (the pluggable-objective hot path)
-
-    def evaluate(self, objective=None) -> ObjectiveScore:
-        """Objective score of the *current* state.
-
-        ``objective`` is any object with a ``needs_app_periods`` flag and
-        a ``value(period, app_periods)`` method (see
-        :mod:`repro.steady_state.objective`); ``None`` means the plain
-        period objective.
-        """
-        return self._evaluate(None, objective)
-
-    def evaluate_move(self, task: str, pe: int, objective=None) -> ObjectiveScore:
-        """Objective score with ``task`` moved to ``pe`` — O(deg(task))."""
-        reg = _metrics.REGISTRY
-        if reg is not None:
-            reg.inc("moves_scored")
-        tid = self._tid(task)
-        if not 0 <= pe < self._n_pes:
-            raise MappingError(
-                f"task {task!r} moved to invalid PE {pe!r} "
-                f"(platform has {self._n_pes} PEs)"
-            )
-        if self._mapping_dependent or (
-            self._ck is not None
-            and not getattr(objective, "needs_app_periods", False)
-        ):
-            moved = {} if pe == self._pe[tid] else {tid: pe}
-            return self._evaluate_ids(moved, objective)
-        return self._sweep(tid, (pe,), objective, True)[0]
+        return self._moves(task, pes, None, False)
 
     def evaluate_moves(
         self,
@@ -1905,34 +1756,106 @@ class DeltaAnalyzer:
         a move only perturbs its own application, so the others' cached
         periods are reused verbatim).
         """
-        tid = self._tid(task)
-        if pes is None:
-            pes = range(self._n_pes)
-        else:
-            self._check_pes(pes)
-        reg = _metrics.REGISTRY
-        if reg is not None:
-            reg.inc("moves_scored", len(pes))
-        if self._mapping_dependent:
-            return self._sweep_fallback(tid, pes, objective, True)
-        return self._sweep(tid, pes, objective, True)
+        return self._moves(task, pes, objective, True)
 
-    def evaluate_swap(self, a: str, b: str, objective=None) -> ObjectiveScore:
-        """Objective score with tasks ``a`` and ``b`` exchanging PEs."""
+    def _swap(self, a: str, b: str, objective, as_objective):
         reg = _metrics.REGISTRY
         if reg is not None:
             reg.inc("swaps_scored")
         changes = {a: self.pe_of(b), b: self.pe_of(a)}
-        return self._evaluate_ids(self._to_moved(changes), objective)
+        return self._verdict(self._to_moved(changes), objective, as_objective)
+
+    def score_swap(self, a: str, b: str) -> MoveScore:
+        """Score of the mapping with tasks ``a`` and ``b`` exchanging PEs."""
+        return self._swap(a, b, None, False)
+
+    def evaluate_swap(self, a: str, b: str, objective=None) -> ObjectiveScore:
+        """Objective score with tasks ``a`` and ``b`` exchanging PEs."""
+        return self._swap(a, b, objective, True)
+
+    def _changes(self, changes: Dict[str, int], objective, as_objective):
+        reg = _metrics.REGISTRY
+        if reg is not None:
+            reg.inc("bulk_changes")
+        moved = self._to_moved(dict(changes))
+        return self._verdict(moved, objective, as_objective)
+
+    def score_changes(self, changes: Dict[str, int]) -> MoveScore:
+        """Score of the mapping with all of ``changes`` applied at once.
+
+        ``changes`` maps task names to target PEs; tasks already on their
+        target are ignored.  This is the bulk interface population
+        metaheuristics use to evaluate crossover offspring in one pass.
+        """
+        return self._changes(changes, None, False)
 
     def evaluate_changes(
         self, changes: Dict[str, int], objective=None
     ) -> ObjectiveScore:
         """Objective score with all of ``changes`` applied at once."""
+        return self._changes(changes, objective, True)
+
+    def _commit(
+        self, changes: Dict[str, int], if_feasible: bool = False
+    ) -> Optional[MoveScore]:
+        """The one commit path (native under the ``cython`` backend).
+
+        Applies ``changes``; with ``if_feasible`` only when the candidate
+        is feasible, returning its score whether or not it was committed.
+        """
+        moved = self._to_moved(changes)
+        if not moved:
+            return self.score() if if_feasible else None
+        if self._ck is not None:
+            if not if_feasible:
+                self._ck.apply_ids(moved)
+                return None
+            period, nviol, _applied = self._ck.try_apply_ids(moved)
+            return MoveScore(period, nviol == 0, nviol)
+        deltas = self._deltas_ids(moved)
+        score = self._judge(deltas, None, False) if if_feasible else None
+        if score is None or score.feasible:
+            self._apply(deltas)
+        return score
+
+    def apply_move(self, task: str, pe: int) -> None:
+        """Commit a single-task move into the cached state — O(deg(task))."""
+        self._commit({task: pe})
+
+    def apply_swap(self, a: str, b: str) -> None:
+        """Commit a task-pair PE exchange into the cached state."""
+        self._commit({a: self.pe_of(b), b: self.pe_of(a)})
+
+    @_traced("kernel:apply_changes")
+    def apply_changes(self, changes: Dict[str, int]) -> None:
+        """Commit a set of simultaneous task moves into the cached state."""
+        self._commit(dict(changes))
+
+    def try_apply_changes(self, changes: Dict[str, int]) -> MoveScore:
+        """Score ``changes`` and commit them only when feasible.
+
+        One delta computation serves both the verdict and the commit —
+        half the cost of ``score_changes`` + ``apply_changes`` on the
+        population-search hot path.  Returns the score of the candidate
+        state whether or not it was committed.
+        """
         reg = _metrics.REGISTRY
         if reg is not None:
             reg.inc("bulk_changes")
-        return self._evaluate_ids(self._to_moved(dict(changes)), objective)
+        return self._commit(dict(changes), if_feasible=True)
+
+    # ------------------------------------------------------------------ #
+    # Objective-aware evaluation (the pluggable-objective hot path)
+
+    def evaluate(self, objective=None) -> ObjectiveScore:
+        """Objective score of the *current* state.
+
+        ``objective`` is any object with a ``needs_app_periods`` flag and
+        a ``value(period, app_periods)`` method (see
+        :mod:`repro.steady_state.objective`); ``None`` means the plain
+        period objective.
+        """
+        return self._judge(None, objective, True)
 
     @_traced("kernel:best_move")
     def best_move(
@@ -1944,66 +1867,28 @@ class DeltaAnalyzer:
     ) -> Optional[Tuple[str, int, ObjectiveScore]]:
         """The best feasible single-task move over a whole neighbourhood.
 
-        Scans ``tasks`` (default: all) × ``pes`` (default: all) through
-        the batched kernel (the two-phase selection in the
-        mapping-dependent modes) and returns ``(task, pe, score)`` for the
-        candidate minimising ``(value, period)`` *strictly below* the
-        current state's — or ``None`` at a local optimum.  Candidates
-        whose period exceeds ``period_cap`` are skipped unless they still
-        reduce the current period (the failure-repair descent rule of the
-        online runtime).  Ties keep the earliest candidate in visit
-        order, matching the historical per-candidate loops move for move.
+        Scans ``tasks`` (default: all) × ``pes`` (default: all) and
+        returns ``(task, pe, score)`` for the candidate minimising
+        ``(value, period)`` *strictly below* the current state's — or
+        ``None`` at a local optimum.  Candidates whose period exceeds
+        ``period_cap`` are skipped unless they still reduce the current
+        period (the failure-repair descent rule of the online runtime).
+        Ties keep the earliest candidate in visit order, matching the
+        historical per-candidate loops move for move.
+
+        Batches (two or more tasks, or any mapping-dependent call) go
+        through the two-phase selection (:meth:`_select`); a single
+        task in the default buffer model — the online insertion step —
+        is one target sweep.
         """
         current = self.evaluate(objective)
         full = tasks is None, pes is None
-        if tasks is None:
-            tasks = self._cg.names
-        if pes is None:
-            pes = range(self._n_pes)
-        best: Optional[Tuple[str, int, ObjectiveScore]] = None
+        tids, names = self._resolve_tasks(tasks)
+        pes = self._resolve_pes(pes)
         best_key = (current.value, current.period)
         cap = period_cap
         cur_period = current.period
-        if (
-            self._kernel is not None
-            and len(tasks) >= self._VECTOR_MIN_TASKS
-            and (objective is None or isinstance(objective, PeriodObjective))
-        ):
-            # Dense selection: value == period under the period objective,
-            # so one masked argmin finds the earliest-visit-order minimum
-            # — the exact candidate the scalar scan keeps.
-            import numpy as np
-
-            pes = list(pes)
-            if not full[1]:
-                self._check_pes(pes)
-            reg = _metrics.REGISTRY
-            if reg is not None:
-                reg.inc("moves_scored", len(tasks) * len(pes))
-            res = self._kernel.move_matrix(
-                None if full[0] else [self._tid(name) for name in tasks],
-                None if full[1] else pes,
-                track_app=False,
-            )
-            ok = ~res.origin & (res.nviol == 0)
-            ok &= (res.worst <= cap) | (res.worst < cur_period)
-            if not ok.any():
-                return None
-            cand = np.where(ok, res.worst, np.inf)
-            flat = int(np.argmin(cand))
-            value = float(cand.flat[flat])
-            if not (value, value) < best_key:
-                return None
-            i, j = divmod(flat, len(pes))
-            score = ObjectiveScore(value, value, True, 0)
-            return tasks[i], pes[j], score
-        if self._mapping_dependent:
-            # Same key, same tie rule, through the two-phase selection:
-            # the buffer model is derived only for candidates that can win.
-            pes = list(pes)
-            if not full[1]:
-                self._check_pes(pes)
-            tids = [self._tid(name) for name in tasks]
+        if self._mapping_dependent or len(tids) >= self._VECTOR_MIN_TASKS:
             best_value, best_period = best_key
 
             def admit(value, period, _row):
@@ -2019,10 +1904,10 @@ class DeltaAnalyzer:
                 return None
             tid, pe, _partner, score = found
             return self._cg.names[tid], pe, score
-        for name in tasks:
-            origin = self._pe[self._tid(name)]
-            scores = self.evaluate_moves(name, pes, objective)
-            for pe, score in zip(pes, scores):
+        best: Optional[Tuple[str, int, ObjectiveScore]] = None
+        for tid, name in zip(tids, names):
+            origin = self._pe[tid]
+            for pe, score in zip(pes, self._moves(name, pes, objective, True)):
                 if pe == origin or not score.feasible:
                     continue
                 if score.period > cap and score.period >= cur_period:
@@ -2034,28 +1919,6 @@ class DeltaAnalyzer:
 
     # ------------------------------------------------------------------ #
     # Two-phase neighbourhood selection
-
-    def _ranker(self):
-        """The dense kernel for phase-1 ranking and population passes,
-        or ``None`` (scalar).
-
-        A default-mode analyzer's own batch kernel.  A mapping-dependent
-        analyzer has none — its move and swap batch APIs stay on the
-        exact per-candidate path — so it builds a private mirror here on
-        first use (never in :meth:`clone` / :meth:`copy_from`).  Ranking
-        reads only the mirror's ``worst``/``aworst`` terms (the period
-        does not depend on the buffer model; the move kernel's ``nviol``
-        assumes the default one), while ``assignment_matrix`` derives
-        each row's mapping-dependent footprints itself, so its verdicts
-        are exact.
-        """
-        if self._kernel is not None or self.backend == "python":
-            return self._kernel
-        if self._rank_mirror is None:
-            from .backend_numpy import NumpyKernel
-
-            self._rank_mirror = NumpyKernel(self)
-        return self._rank_mirror
 
     def _rank_moves(self, tids, pes, full, objective):
         """Phase 1 over the moves of ``tids`` to ``pes``.
@@ -2070,15 +1933,15 @@ class DeltaAnalyzer:
 
         md = self._mapping_dependent
         k, m = len(tids), len(pes)
-        ranker = self._ranker()
-        if ranker is not None and k >= self._VECTOR_MIN_TASKS:
+        dense = self._dense()
+        if dense is not None and k >= self._VECTOR_MIN_TASKS:
             cg = self._cg
             track_app = (
                 objective is not None
                 and getattr(objective, "needs_app_periods", False)
                 and cg.app_index is not None
             )
-            res = ranker.move_matrix(
+            res = dense.move_matrix(
                 None if full[0] else tids, None if full[1] else pes, track_app
             )
             worst = res.worst
@@ -2134,14 +1997,14 @@ class DeltaAnalyzer:
         import numpy as np
 
         md = self._mapping_dependent
-        ranker = self._ranker()
+        dense = self._dense()
         if (
-            ranker is not None
+            dense is not None
             and not self._multi
             and len(ta) >= self._VECTOR_MIN_TASKS
             and not getattr(objective, "needs_app_periods", False)
         ):
-            worst, nviol, _same = ranker.swap_matrix(ta, tb)
+            worst, nviol, _same = dense.swap_matrix(ta, tb)
             if objective is None or isinstance(objective, PeriodObjective):
                 value = worst
             else:
@@ -2160,7 +2023,7 @@ class DeltaAnalyzer:
                 period[s] = p = self._candidate_period(deltas)
                 value[s] = self._value(p, deltas, objective)
             else:
-                score = self._evaluate_ids(moved, objective)
+                score = self._verdict(moved, objective, True)
                 value[s], period[s] = score.value, score.period
                 nviol[s] = score.n_violations
         return value, period, nviol
@@ -2180,7 +2043,7 @@ class DeltaAnalyzer:
         and is ``None`` for swaps).  **Phase 2** walks the admitted
         candidates in ``(value[, period], visit order)`` order, scores
         each one through the exact per-candidate path
-        (:meth:`_evaluate_ids`) and returns the first that is feasible
+        (:meth:`_verdict`) and returns the first that is feasible
         and still admitted: ``(tid, pe, partner_tid, score)``, with
         ``partner_tid`` ``None`` for a move.  That is the candidate an
         eager scan keeping the strictly-best feasible value picks.  In
@@ -2241,7 +2104,7 @@ class DeltaAnalyzer:
                 return tid, pe, partner, score
             if reg is not None:
                 reg.inc("candidates_confirmed")
-            score = self._evaluate_ids(moved, objective)
+            score = self._verdict(moved, objective, True)
             if score.feasible and admit(score.value, score.period, row):
                 return tid, pe, partner, score
         return None
@@ -2331,6 +2194,28 @@ class DeltaAnalyzer:
         self._check_pes(pes)
         return pes
 
+    def _all_moves(self, tasks, pes, objective, as_objective):
+        """Every (task, PE) move of ``tasks`` × ``pes``.
+
+        Returns ``(rows, None)``, one :meth:`_moves` row per task, or in
+        the default buffer model on the fast engine ``(None, (value,
+        period, nviol, origin))`` arrays from one dense pass.
+        """
+        full = tasks is None, pes is None
+        tids, names = self._resolve_tasks(tasks)
+        pes = self._resolve_pes(pes)
+        if (
+            self._mapping_dependent
+            or len(tids) < self._VECTOR_MIN_TASKS
+            or self._dense() is None
+        ):
+            rows = [self._moves(name, pes, objective, as_objective) for name in names]
+            return rows, None
+        reg = _metrics.REGISTRY
+        if reg is not None:
+            reg.inc("moves_scored", len(tids) * len(pes))
+        return None, self._rank_moves(tids, pes, full, objective)
+
     @_traced("kernel:score_move_matrix")
     def score_move_matrix(self, tasks=None, pes=None):
         """Periods and violation counts of every (task, PE) move at once.
@@ -2343,31 +2228,18 @@ class DeltaAnalyzer:
         is the raw whole-neighbourhood kernel; :meth:`evaluate_all_moves`
         is the objective-aware sibling.
         """
-        full = tasks is None, pes is None
-        tids, names = self._resolve_tasks(tasks)
-        pes = self._resolve_pes(pes)
-        if self._kernel is not None:
-            reg = _metrics.REGISTRY
-            if reg is not None:
-                reg.inc("moves_scored", len(tids) * len(pes))
-            res = self._kernel.move_matrix(
-                None if full[0] else tids,
-                None if full[1] else pes,
-                track_app=False,
+        rows, dense = self._all_moves(tasks, pes, None, False)
+        if dense is None:
+            return (
+                [[s.period for s in row] for row in rows],
+                [[s.n_violations for s in row] for row in rows],
             )
-            worst, nviol = res.worst, res.nviol
-            if res.origin.any():
-                cur = self.score()
-                worst[res.origin] = cur.period
-                nviol[res.origin] = cur.n_violations
-            return worst, nviol
-        periods: List[List[float]] = []
-        viols: List[List[int]] = []
-        for name in names:
-            scores = self.score_moves(name, pes)
-            periods.append([s.period for s in scores])
-            viols.append([s.n_violations for s in scores])
-        return periods, viols
+        _value, worst, nviol, origin = dense
+        if origin.any():
+            cur = self.score()
+            worst[origin] = cur.period
+            nviol[origin] = cur.n_violations
+        return worst, nviol
 
     @_traced("kernel:evaluate_all_moves")
     def evaluate_all_moves(
@@ -2383,26 +2255,18 @@ class DeltaAnalyzer:
         kernel all rows come from a single masked cost-matrix pass
         instead of one kernel sweep per task.
         """
-        full = tasks is None, pes is None
-        tids, names = self._resolve_tasks(tasks)
-        pes = self._resolve_pes(pes)
-        if (
-            self._kernel is None
-            or len(tids) < self._VECTOR_MIN_TASKS
-        ):
-            return [self.evaluate_moves(name, pes, objective) for name in names]
-        reg = _metrics.REGISTRY
-        if reg is not None:
-            reg.inc("moves_scored", len(tids) * len(pes))
-        value, worst, nviol, origin = self._rank_moves(tids, pes, full, objective)
+        rows, dense = self._all_moves(tasks, pes, objective, True)
+        if dense is None:
+            return rows
+        value, worst, nviol, origin = dense
         current: Optional[ObjectiveScore] = None
-        rows: List[List[ObjectiveScore]] = []
-        for i in range(len(tids)):
+        rows = []
+        for i in range(origin.shape[0]):
             row: List[ObjectiveScore] = []
-            for j in range(len(pes)):
+            for j in range(origin.shape[1]):
                 if origin[i, j]:
                     if current is None:
-                        current = self._evaluate(None, objective)
+                        current = self.evaluate(objective)
                     row.append(current)
                     continue
                 nv = int(nviol[i, j])
@@ -2413,6 +2277,39 @@ class DeltaAnalyzer:
                 )
             rows.append(row)
         return rows
+
+    def _swaps(self, pairs, objective, as_objective):
+        """Batched swap verdicts: the dense swap kernel on single-cell
+        platforms in the default buffer model (objectives without
+        per-app periods), else the per-pair path."""
+        pairs = [(a, b) for a, b in pairs]
+        if (
+            self._mapping_dependent
+            or self._multi
+            or len(pairs) < self._VECTOR_MIN_TASKS
+            or getattr(objective, "needs_app_periods", False)
+            or self._dense() is None
+        ):
+            return [self._swap(a, b, objective, as_objective) for a, b in pairs]
+        reg = _metrics.REGISTRY
+        if reg is not None:
+            reg.inc("swaps_scored", len(pairs))
+        ta = [self._tid(a) for a, _ in pairs]
+        tb = [self._tid(b) for _, b in pairs]
+        worst, nviol, same = self._dense().swap_matrix(ta, tb)
+        current = None
+        out = []
+        for k in range(len(pairs)):
+            if same[k]:
+                if current is None:
+                    current = self._judge(None, objective, as_objective)
+                out.append(current)
+                continue
+            nv = int(nviol[k])
+            out.append(
+                self._score_of(float(worst[k]), nv, None, objective, as_objective)
+            )
+        return out
 
     @_traced("kernel:score_swaps")
     def score_swaps(
@@ -2425,30 +2322,7 @@ class DeltaAnalyzer:
         model; multi-cell platforms and the mapping-dependent modes fall
         back to the per-pair path.
         """
-        pairs = [(a, b) for a, b in pairs]
-        if (
-            self._kernel is None
-            or self._multi
-            or len(pairs) < self._VECTOR_MIN_TASKS
-        ):
-            return [self.score_swap(a, b) for a, b in pairs]
-        reg = _metrics.REGISTRY
-        if reg is not None:
-            reg.inc("swaps_scored", len(pairs))
-        ta = [self._tid(a) for a, _ in pairs]
-        tb = [self._tid(b) for _, b in pairs]
-        worst, nviol, same = self._kernel.swap_matrix(ta, tb)
-        cur: Optional[MoveScore] = None
-        out: List[MoveScore] = []
-        for k in range(len(pairs)):
-            if same[k]:
-                if cur is None:
-                    cur = self.score()
-                out.append(cur)
-                continue
-            nv = int(nviol[k])
-            out.append(MoveScore(float(worst[k]), nv == 0, nv))
-        return out
+        return self._swaps(pairs, None, False)
 
     @_traced("kernel:evaluate_swaps")
     def evaluate_swaps(
@@ -2461,53 +2335,20 @@ class DeltaAnalyzer:
         per-pair path (a swap may perturb two applications at once, so
         there is no single-app shortcut to vectorize).
         """
-        pairs = [(a, b) for a, b in pairs]
-        if (
-            self._kernel is None
-            or self._multi
-            or len(pairs) < self._VECTOR_MIN_TASKS
-            or (
-                objective is not None
-                and getattr(objective, "needs_app_periods", False)
-            )
-        ):
-            return [self.evaluate_swap(a, b, objective) for a, b in pairs]
-        reg = _metrics.REGISTRY
-        if reg is not None:
-            reg.inc("swaps_scored", len(pairs))
-        ta = [self._tid(a) for a, _ in pairs]
-        tb = [self._tid(b) for _, b in pairs]
-        worst, nviol, same = self._kernel.swap_matrix(ta, tb)
-        cur: Optional[ObjectiveScore] = None
-        out: List[ObjectiveScore] = []
-        for k in range(len(pairs)):
-            if same[k]:
-                if cur is None:
-                    cur = self._evaluate(None, objective)
-                out.append(cur)
-                continue
-            w = float(worst[k])
-            nv = int(nviol[k])
-            value = w if objective is None else objective.value(w, None)
-            out.append(ObjectiveScore(value, w, nv == 0, nv))
-        return out
+        return self._swaps(pairs, objective, True)
 
     def _population_kernel(self, objective):
         """The dense kernel a population pass runs on, or ``None`` for
-        the per-candidate path.
+        the per-candidate path — the population chokepoint.
 
         The dense pass everywhere except where the compiled extension
         scores a mapping-dependent candidate natively (objectives without
         per-app periods): there the native per-candidate path is the
         faster one on the GA's populations.
         """
-        if (
-            self._mapping_dependent
-            and self._ck is not None
-            and not getattr(objective, "needs_app_periods", False)
-        ):
+        if self._mapping_dependent and self._native(objective):
             return None
-        return self._ranker()
+        return self._dense()
 
     def _assignment_rows(self, assignments: Sequence[Dict[str, int]]):
         """Candidate full mappings as a (K, n) PE matrix, validated."""
@@ -2531,6 +2372,44 @@ class DeltaAnalyzer:
                 P[k, tid] = pe
         return P
 
+    def _assignments(self, assignments, objective, as_objective):
+        assignments = [dict(ch) for ch in assignments]
+        cg = self._cg
+        needs_apps = getattr(objective, "needs_app_periods", False)
+        kernel = self._population_kernel(objective)
+        if (
+            kernel is None
+            or len(assignments) < self._VECTOR_MIN_TASKS
+            or (needs_apps and cg.app_index is None)
+        ):
+            return [
+                self._changes(ch, objective, as_objective) for ch in assignments
+            ]
+        reg = _metrics.REGISTRY
+        if reg is not None:
+            reg.inc("bulk_changes", len(assignments))
+        P = self._assignment_rows(assignments)
+        period, nviol, app_mat = kernel.assignment_matrix(P, needs_apps)
+        out = []
+        for k in range(len(assignments)):
+            w = float(period[k])
+            nv = int(nviol[k])
+            if not as_objective:
+                out.append(MoveScore(w, nv == 0, nv))
+                continue
+            if objective is None:
+                value = w
+            elif needs_apps:
+                ap = {
+                    app: float(app_mat[k, a])
+                    for a, app in enumerate(cg.app_names)
+                }
+                value = objective.value(w, ap)
+            else:
+                value = objective.value(w, None)
+            out.append(ObjectiveScore(value, w, nv == 0, nv))
+        return out
+
     @_traced("kernel:score_assignments")
     def score_assignments(
         self, assignments: Sequence[Dict[str, int]]
@@ -2545,20 +2424,7 @@ class DeltaAnalyzer:
         generation-evaluation hot path — whose floats are
         ``analyze()``'s for each candidate mapping.
         """
-        assignments = [dict(ch) for ch in assignments]
-        kernel = self._population_kernel(None)
-        if kernel is None or len(assignments) < self._VECTOR_MIN_TASKS:
-            return [self.score_changes(ch) for ch in assignments]
-        reg = _metrics.REGISTRY
-        if reg is not None:
-            reg.inc("bulk_changes", len(assignments))
-        P = self._assignment_rows(assignments)
-        period, nviol, _apps = kernel.assignment_matrix(P, False)
-        out: List[MoveScore] = []
-        for k in range(len(assignments)):
-            nv = int(nviol[k])
-            out.append(MoveScore(float(period[k]), nv == 0, nv))
-        return out
+        return self._assignments(assignments, None, False)
 
     @_traced("kernel:evaluate_assignments")
     def evaluate_assignments(
@@ -2573,44 +2439,11 @@ class DeltaAnalyzer:
         them) come from the same population pass (see
         :meth:`score_assignments`).
         """
-        assignments = [dict(ch) for ch in assignments]
-        cg = self._cg
-        needs_apps = objective is not None and getattr(
-            objective, "needs_app_periods", False
-        )
-        kernel = self._population_kernel(objective)
-        if (
-            kernel is None
-            or len(assignments) < self._VECTOR_MIN_TASKS
-            or (needs_apps and cg.app_index is None)
-        ):
-            return [
-                self.evaluate_changes(ch, objective) for ch in assignments
-            ]
-        reg = _metrics.REGISTRY
-        if reg is not None:
-            reg.inc("bulk_changes", len(assignments))
-        P = self._assignment_rows(assignments)
-        period, nviol, app_mat = kernel.assignment_matrix(P, needs_apps)
-        out: List[ObjectiveScore] = []
-        for k in range(len(assignments)):
-            w = float(period[k])
-            nv = int(nviol[k])
-            if objective is None:
-                value = w
-            elif needs_apps:
-                ap = {
-                    app: float(app_mat[k, a])
-                    for a, app in enumerate(cg.app_names)
-                }
-                value = objective.value(w, ap)
-            else:
-                value = objective.value(w, None)
-            out.append(ObjectiveScore(value, w, nv == 0, nv))
-        return out
+        return self._assignments(assignments, objective, True)
 
     # ------------------------------------------------------------------ #
     # Full analysis
+
 
     def snapshot(self) -> PeriodAnalysis:
         """A full :class:`PeriodAnalysis` of the current state.
@@ -2635,27 +2468,9 @@ class DeltaAnalyzer:
         buffer_bytes = {i: self._buffer[i] for i in platform.spe_indices}
         dma_in = {i: self._dma_in[i] for i in platform.spe_indices}
         dma_proxy = {i: self._dma_proxy[i] for i in platform.spe_indices}
-        violations: List[Violation] = []
-        for spe in platform.spe_indices:
-            pe_name = platform.pe_name(spe)
-            if buffer_bytes[spe] > self._budget:
-                violations.append(
-                    Violation("memory", spe, pe_name, buffer_bytes[spe], self._budget)
-                )
-            if dma_in[spe] > self._in_slots:
-                violations.append(
-                    Violation("dma_in", spe, pe_name, dma_in[spe], self._in_slots)
-                )
-            if dma_proxy[spe] > self._proxy_slots:
-                violations.append(
-                    Violation(
-                        "dma_proxy", spe, pe_name, dma_proxy[spe], self._proxy_slots
-                    )
-                )
-        link_loads = [
-            LinkLoad(src_cell=src, dst_cell=dst, time=bytes_ / self._bif_bw)
-            for (src, dst), bytes_ in sorted(self._link_bytes.items())
-        ]
+        violations, link_loads = violations_and_links(
+            platform, buffer_bytes, dma_in, dma_proxy, self._link_bytes
+        )
         return PeriodAnalysis(
             mapping=self.mapping(),
             loads=loads,

@@ -49,7 +49,7 @@ def _analysis_value(objective, analysis: PeriodAnalysis) -> float:
 def _score_analysis(analysis: PeriodAnalysis, objective) -> ObjectiveScore:
     """An :class:`ObjectiveScore` from a full analysis (reference path).
 
-    Mirrors ``DeltaAnalyzer._evaluate`` so the two paths rank candidates
+    Mirrors ``DeltaAnalyzer._score_of`` so the two paths rank candidates
     by the exact same values.
     """
     if objective is None or not getattr(objective, "needs_app_periods", False):

@@ -252,30 +252,9 @@ def analyze(
         if platform.is_spe(pe):
             buffer_bytes[pe] += buffers[name]
 
-    violations: List[Violation] = []
-    for spe in platform.spe_indices:
-        pe_name = platform.pe_name(spe)
-        if buffer_bytes[spe] > platform.buffer_budget:
-            violations.append(
-                Violation(
-                    "memory", spe, pe_name, buffer_bytes[spe], platform.buffer_budget
-                )
-            )
-        if dma_in[spe] > platform.dma_in_slots:
-            violations.append(
-                Violation("dma_in", spe, pe_name, dma_in[spe], platform.dma_in_slots)
-            )
-        if dma_proxy[spe] > platform.dma_proxy_slots:
-            violations.append(
-                Violation(
-                    "dma_proxy", spe, pe_name, dma_proxy[spe], platform.dma_proxy_slots
-                )
-            )
-
-    link_loads = [
-        LinkLoad(src_cell=src, dst_cell=dst, time=bytes_ / platform.bif_bw)
-        for (src, dst), bytes_ in sorted(link_bytes.items())
-    ]
+    violations, link_loads = violations_and_links(
+        platform, buffer_bytes, dma_in, dma_proxy, link_bytes
+    )
 
     app_periods: Dict[str, float] = {}
     if app_of is not None:
@@ -299,6 +278,45 @@ def analyze(
         link_loads=link_loads,
         app_periods=app_periods,
     )
+
+
+def violations_and_links(
+    platform,
+    buffer_bytes: Dict[int, float],
+    dma_in: Dict[int, int],
+    dma_proxy: Dict[int, int],
+    link_bytes: Dict[Tuple[int, int], float],
+) -> Tuple[List[Violation], List[LinkLoad]]:
+    """The violated (1i)–(1k) constraints and the BIF link loads.
+
+    Shared between :func:`analyze` and ``DeltaAnalyzer.snapshot()`` so
+    the two report the same violations in the same order and the same
+    link times from the same sums.
+    """
+    violations: List[Violation] = []
+    for spe in platform.spe_indices:
+        pe_name = platform.pe_name(spe)
+        if buffer_bytes[spe] > platform.buffer_budget:
+            violations.append(
+                Violation(
+                    "memory", spe, pe_name, buffer_bytes[spe], platform.buffer_budget
+                )
+            )
+        if dma_in[spe] > platform.dma_in_slots:
+            violations.append(
+                Violation("dma_in", spe, pe_name, dma_in[spe], platform.dma_in_slots)
+            )
+        if dma_proxy[spe] > platform.dma_proxy_slots:
+            violations.append(
+                Violation(
+                    "dma_proxy", spe, pe_name, dma_proxy[spe], platform.dma_proxy_slots
+                )
+            )
+    link_loads = [
+        LinkLoad(src_cell=src, dst_cell=dst, time=bytes_ / platform.bif_bw)
+        for (src, dst), bytes_ in sorted(link_bytes.items())
+    ]
+    return violations, link_loads
 
 
 def app_periods_from_loads(

@@ -162,17 +162,38 @@ class TestAnalyzerBackend:
         mapping = Mapping.all_on_ppe(g, CellPlatform.qs22())
         return DeltaAnalyzer(mapping, **kwargs)
 
+    @staticmethod
+    def _run_batches(state):
+        """Every batch API that can reach the dense kernel."""
+        names = state.graph.task_names()
+        pairs = list(zip(names[:3], names[3:6]))
+        changes = [{}, {names[0]: 1}, {names[1]: 2, names[2]: 0}]
+        state.score_move_matrix()
+        state.evaluate_all_moves()
+        state.score_swaps(pairs)
+        state.evaluate_swaps(pairs)
+        state.score_assignments(changes)
+        state.evaluate_assignments(changes)
+        state.best_move()
+        state.best_candidate(swaps=True)
+
     def test_python_backend_has_no_kernel(self):
-        state = self._state(backend="python")
-        assert state.backend == "python"
-        assert state._kernel is None
+        """The python engine never builds a dense kernel."""
+        for mode in ({},) + MD_MODES:
+            state = self._state(backend="python", **mode)
+            assert state.backend == "python"
+            self._run_batches(state)
+            assert state._dense() is None
+            assert state._dense_kernel is None
 
     def test_numpy_backend_builds_kernel(self, monkeypatch):
         """auto without the extension: dense kernels, no native paths."""
         monkeypatch.setenv(NO_EXTENSION_ENV_VAR, "1")
         state = self._state(backend="auto")
         assert state.backend == "numpy"
-        assert state._kernel is not None
+        assert state._dense_kernel is None  # built on first use
+        state.score_move_matrix()
+        assert state._dense_kernel is not None
         assert state._ck is None
 
     def test_env_var_selects_default(self, monkeypatch):
@@ -187,7 +208,7 @@ class TestAnalyzerBackend:
         assert state.backend == "cython"
         assert state._ck is not None
         # the dense numpy batch kernels stay active alongside
-        assert state._kernel is not None
+        assert state._dense() is not None
 
     def test_non_cython_backends_have_no_ckernel(self, monkeypatch):
         assert self._state(backend="python")._ck is None
@@ -205,15 +226,26 @@ class TestAnalyzerBackend:
     )
     @pytest.mark.parametrize("label", available_backends())
     def test_mapping_dependent_modes_build_no_dense_kernel(self, label, mode):
-        """The dense kernel covers the default buffer model only, so the
-        mapping-dependent modes never build one — nor do their clones."""
+        """The dense kernel's move and swap verdicts cover the default
+        buffer model only, so the mapping-dependent modes' move and swap
+        batch APIs never build it; clones start without one."""
         state = self._state(backend=select(label), **mode)
         assert state.backend == label
-        assert state._kernel is None
-        assert state.clone()._kernel is None
+        names = state.graph.task_names()
+        pairs = list(zip(names[:3], names[3:6]))
+        state.score_move_matrix()
+        state.evaluate_all_moves()
+        state.score_swaps(pairs)
+        state.evaluate_swaps(pairs)
+        assert state._dense_kernel is None
+        assert state.clone()._dense_kernel is None
         default = self._state(backend=select(label))
-        assert (default._kernel is None) == (label == "python")
-        assert (default.clone()._kernel is None) == (label == "python")
+        default.score_move_matrix()
+        assert (default._dense_kernel is None) == (label == "python")
+        twin = default.clone()
+        assert twin._dense_kernel is None
+        twin.score_move_matrix()
+        assert (twin._dense_kernel is None) == (label == "python")
 
     def test_clone_preserves_backend(self):
         for label in available_backends():
@@ -300,7 +332,7 @@ class TestBackendThreading:
         sched = OnlineScheduler(CellPlatform.qs22())
         sched.run([AppArrival(0.0, "app", integer_cost_graph(2, n_min=6, n_max=9))])
         assert isinstance(sched.state, _ReferenceState)
-        assert not hasattr(sched.state, "_kernel")
+        assert not hasattr(sched.state, "_dense_kernel")
 
 
 @pytest.mark.skipif(

@@ -27,6 +27,7 @@ Three families of guarantees:
   the selection layer itself).
 """
 
+import math
 import random
 
 import pytest
@@ -169,33 +170,131 @@ class TestCompiledMemoization:
         assert after.wppe[after.index["t0"]] == 123.0
 
 
+def as_move_score(score):
+    """The ``MoveScore`` view of an ``ObjectiveScore``."""
+    return (score.period, score.feasible, score.n_violations)
+
+
+def assert_twins_agree(state, rng):
+    """Every ``score_*`` method equals the ``MoveScore`` view of its
+    ``evaluate_*`` twin called with ``objective=None``, origin entries
+    and one-element batches included."""
+    names = state.graph.task_names()
+    n_pes = state.platform.n_pes
+    name = rng.choice(names)
+    origin = state.pe_of(name)
+    for pe in range(n_pes):
+        assert state.score_move(name, pe) == as_move_score(
+            state.evaluate_move(name, pe)
+        )
+    for pes in (None, [origin], rng.sample(range(n_pes), k=3)):
+        assert state.score_moves(name, pes) == [
+            as_move_score(s) for s in state.evaluate_moves(name, pes)
+        ]
+    pairs = [tuple(rng.sample(names, 2)) for _ in range(5)] + [(name, name)]
+    for a, b in pairs:
+        assert state.score_swap(a, b) == as_move_score(state.evaluate_swap(a, b))
+    for batch in (pairs, pairs[:1]):
+        assert state.score_swaps(batch) == [
+            as_move_score(s) for s in state.evaluate_swaps(batch)
+        ]
+    changes = [
+        {},
+        {name: origin},
+        {name: rng.randrange(n_pes)},
+        {t: rng.randrange(n_pes) for t in rng.sample(names, 3)},
+    ]
+    for ch in changes:
+        assert state.score_changes(ch) == as_move_score(state.evaluate_changes(ch))
+    for batch in (changes, changes[2:3]):
+        assert state.score_assignments(batch) == [
+            as_move_score(s) for s in state.evaluate_assignments(batch)
+        ]
+    for tasks in (None, [name]):
+        period, nviol = state.score_move_matrix(tasks)
+        rows = state.evaluate_all_moves(tasks)
+        assert [list(r) for r in period] == [[s.period for s in r] for r in rows]
+        assert [list(r) for r in nviol] == [
+            [s.n_violations for s in r] for r in rows
+        ]
+
+
+def manual_best_move(state, tasks, pes, objective, cap):
+    """The historical per-candidate ``(value, period)`` scan."""
+    current = state.evaluate(objective)
+    best = None
+    best_key = (current.value, current.period)
+    for name in tasks:
+        origin = state.pe_of(name)
+        for pe in pes:
+            if pe == origin:
+                continue
+            score = state.evaluate_move(name, pe, objective)
+            if not score.feasible:
+                continue
+            if score.period > cap and score.period >= current.period:
+                continue
+            key = (score.value, score.period)
+            if key < best_key:
+                best, best_key = (name, pe, score), key
+    return best
+
+
+def assert_best_move_cases(state, rng, objective=None):
+    """``best_move`` == the manual scan over whole and partial
+    neighbourhoods: all tasks and one task, all PEs and a live subset,
+    no cap, a cap the state is under and a cap it is already past."""
+    names = state.graph.task_names()
+    n_pes = state.platform.n_pes
+    live = sorted(rng.sample(range(n_pes), k=n_pes // 2 + 1))
+    period = state.period()
+    one = [rng.choice(names)]
+    for tasks, pes in ((None, None), (None, live), (one, None), (one, live)):
+        for cap in (math.inf, period * 1.02, period * 0.5):
+            expected = manual_best_move(
+                state,
+                names if tasks is None else tasks,
+                range(n_pes) if pes is None else pes,
+                objective,
+                cap,
+            )
+            assert state.best_move(tasks, pes, objective, cap) == expected
+
+
 class TestBatchedEquivalence:
     @pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
     @pytest.mark.parametrize("seed", range(6))
     def test_score_moves_matches_score_move(self, seed, mode):
-        """Batched == scalar verdicts, interleaved with random applies."""
+        """Batched == scalar verdicts, interleaved with random applies;
+        every score_* method == its evaluate_* twin, on both engines."""
         g = integer_cost_graph(seed)
         platform = PLATFORMS[seed % len(PLATFORMS)]
-        rng = random.Random(9000 + seed)
-        names = g.task_names()
-        state = DeltaAnalyzer(
-            Mapping(
-                g, platform,
-                {n: rng.randrange(platform.n_pes) for n in names},
-            ),
-            **mode,
-        )
-        for _ in range(6):
-            name = rng.choice(names)
-            batched = state.score_moves(name)
-            assert len(batched) == platform.n_pes
-            for pe in range(platform.n_pes):
-                assert batched[pe] == state.score_move(name, pe)
-            # a custom target list stays aligned with its entries
-            subset = rng.sample(range(platform.n_pes), k=3)
-            for pe, score in zip(subset, state.score_moves(name, subset)):
-                assert score == state.score_move(name, pe)
-            state.apply_move(rng.choice(names), rng.randrange(platform.n_pes))
+        for backend in ("python", "auto"):
+            rng = random.Random(9000 + seed)
+            twin_rng = random.Random(7000 + seed)
+            names = g.task_names()
+            state = DeltaAnalyzer(
+                Mapping(
+                    g, platform,
+                    {n: rng.randrange(platform.n_pes) for n in names},
+                ),
+                backend=backend,
+                **mode,
+            )
+            for _ in range(6):
+                name = rng.choice(names)
+                batched = state.score_moves(name)
+                assert len(batched) == platform.n_pes
+                for pe in range(platform.n_pes):
+                    assert batched[pe] == state.score_move(name, pe)
+                # a custom target list stays aligned with its entries
+                subset = rng.sample(range(platform.n_pes), k=3)
+                for pe, score in zip(subset, state.score_moves(name, subset)):
+                    assert score == state.score_move(name, pe)
+                assert_twins_agree(state, twin_rng)
+                state.apply_move(
+                    rng.choice(names), rng.randrange(platform.n_pes)
+                )
 
     @pytest.mark.parametrize("objective", ("period", "weighted", "max_stretch"))
     @pytest.mark.parametrize("dual", (False, True), ids=("qs22", "dual"))
@@ -226,33 +325,38 @@ class TestBatchedEquivalence:
         assert state.score_moves(name)[state.pe_of(name)] == state.score()
 
     def test_best_move_matches_manual_scan(self):
-        """best_move == the historical per-candidate argmin loop."""
-        for seed in range(4):
-            g = integer_cost_graph(20 + seed)
+        """best_move == the historical per-candidate argmin loop, in all
+        four buffer modes on both engines, with and without a period cap
+        and a live-PE subset, for whole neighbourhoods and one task —
+        and under ``weighted`` / ``max_stretch`` on a two-app composite."""
+        w = Workload("pair")
+        for i in range(2):
+            w.add_app(f"app{i}", integer_cost_graph(40 + i, n_min=5, n_max=8))
+        composite = w.compile()
+        cases = [(integer_cost_graph(20 + seed), None) for seed in range(4)]
+        cases += [
+            (composite, make_objective(name, composite))
+            for name in ("weighted", "max_stretch")
+        ]
+        for seed, (g, obj) in enumerate(cases):
             platform = PLATFORMS[seed % len(PLATFORMS)]
-            rng = random.Random(seed)
             names = g.task_names()
-            state = DeltaAnalyzer(
-                Mapping(
-                    g, platform,
-                    {n: rng.randrange(platform.n_pes) for n in names},
-                )
-            )
-            current = state.evaluate(None)
-            best = None
-            best_key = (current.value, current.period)
-            for name in names:
-                origin = state.pe_of(name)
-                for pe in range(platform.n_pes):
-                    if pe == origin:
-                        continue
-                    score = state.evaluate_move(name, pe)
-                    if not score.feasible:
-                        continue
-                    key = (score.value, score.period)
-                    if key < best_key:
-                        best, best_key = (name, pe, score), key
-            assert state.best_move() == best
+            for mode in MODES:
+                for backend in ("python", "auto"):
+                    rng = random.Random(seed)
+                    state = DeltaAnalyzer(
+                        Mapping(
+                            g, platform,
+                            {n: rng.randrange(platform.n_pes) for n in names},
+                        ),
+                        backend=backend,
+                        **mode,
+                    )
+                    for _ in range(2):
+                        assert_best_move_cases(state, rng, obj)
+                        state.apply_move(
+                            rng.choice(names), rng.randrange(platform.n_pes)
+                        )
 
     def test_validation_errors(self):
         g = integer_cost_graph(2)

@@ -141,10 +141,10 @@ def test_dense_population_matches_analyze_on_float_graphs(
     cands = candidates(names, plat.n_pes, rng)
     scores = state.score_assignments(cands)
     values = state.evaluate_assignments(cands)
-    assert state._rank_mirror is not None  # the dense pass ran
+    assert state._dense_kernel is not None  # the dense pass ran
     # The per-task footprints themselves, not only the verdicts they
     # decide: buffer_requirements()'s floats, row by row.
-    need = state._rank_mirror._md_need(state._assignment_rows(cands))
+    need = state._dense_kernel._md_need(state._assignment_rows(cands))
     for changes, row in zip(cands, need):
         mapping = Mapping(graph, plat, dict(base, **changes))
         ref_need = buffer_requirements(graph, mapping, **mode)
@@ -179,7 +179,7 @@ def test_dense_population_matches_scalar_on_integer_graphs(seed, mode, platform)
     assert dense.evaluate_assignments(cands) == [
         scalar.evaluate_changes(ch) for ch in cands
     ]
-    assert dense._rank_mirror is not None
+    assert dense._dense_kernel is not None
 
 
 @settings(max_examples=12, deadline=None)
@@ -229,9 +229,11 @@ def assert_sweeps_match(state):
         tid = state._tid(name)
         ref = per_target(state, tid, pes)
         assert state._sweep_deltas(tid, pes) == ref
-        assert state.score_moves(name) == [state._score(d) for d in ref]
+        assert state.score_moves(name) == [
+            state._judge(d, None, False) for d in ref
+        ]
         assert state.evaluate_moves(name) == [
-            state._evaluate(d, None) for d in ref
+            state._judge(d, None, True) for d in ref
         ]
 
 

@@ -187,11 +187,12 @@ def move_swap_results(state):
 @pytest.mark.parametrize("mode", MODES[1:], ids=MODE_IDS[1:])
 @pytest.mark.parametrize("platform", sorted(PLATFORMS))
 def test_mirror_leaves_public_batch_apis_unchanged(mode, platform):
-    """The dense mirror never changes a verdict: an md analyzer's batch
-    verdicts are the exact per-candidate ones before and after it is
-    built.  The move and swap batch APIs never build it; the assignment
-    batches do on the numpy engine (the compiled extension scores md
-    candidates natively); its clones start without one."""
+    """The dense kernel never changes an md verdict: an md analyzer's
+    batch verdicts are the exact per-candidate ones before and after it
+    is built.  The move and swap batch APIs never build it; the
+    assignment batches do on the numpy engine (the compiled extension
+    scores md candidates natively), and the two-phase selection does on
+    the fast engine; clones start without one."""
     graph = integer_cost_graph(17, n_min=10, n_max=14)
     with kernel("auto"):
         state = DeltaAnalyzer(random_start(graph, PLATFORMS[platform], 3), **mode)
@@ -202,21 +203,20 @@ def test_mirror_leaves_public_batch_apis_unchanged(mode, platform):
             [state.score_changes(ch) for ch in changes],
             [state.evaluate_changes(ch) for ch in changes],
         ]
-        assert state._rank_mirror is None
+        assert state._dense_kernel is None
         assert [
             state.score_assignments(changes),
             state.evaluate_assignments(changes),
         ] == per_candidate
-        assert (state._rank_mirror is not None) == (state.backend == "numpy")
+        assert (state._dense_kernel is not None) == (state.backend == "numpy")
         state.best_candidate(swaps=True)
-        assert state._rank_mirror is not None
-        assert state._kernel is None
+        assert state._dense_kernel is not None
         assert move_swap_results(state) == before
         assert [
             state.score_assignments(changes),
             state.evaluate_assignments(changes),
         ] == per_candidate
-        assert state.clone()._rank_mirror is None
+        assert state.clone()._dense_kernel is None
 
 
 def test_per_task_bounds_exclude_swaps():
