@@ -24,6 +24,10 @@ the two claims down on the paper's 50-task benchmark graph:
   mapping-dependent population pass (``score_assignments`` on 24 whole
   mappings, each md mode) is less than 4× faster than the ``python``
   engine's per-candidate ``score_changes`` loop;
+* ``test_population_rows_speedup_guard`` **fails** if scoring a
+  GA-sized generation (24 analyzers on graph2) from their
+  ``pe_row()`` PE rows is less than 2× faster than from their
+  ``assignment()`` dicts — the GA's per-generation fitness step;
 * ``test_native_md_scoring_speedup_guard`` /
   ``test_native_apply_speedup_guard`` **fail** if the compiled
   extension (the ``cython`` engine) is less than 2× faster than the best
@@ -60,7 +64,7 @@ import time
 
 import pytest
 
-from repro.generator import random_graph_1
+from repro.generator import random_graph_1, random_graph_2
 from repro.heuristics import greedy_cpu
 from repro.platform import CellPlatform
 from repro.steady_state import (
@@ -364,6 +368,49 @@ def test_md_population_speedup_guard(graph, platform, mapping):
             f"({dense_time * 1e3:.2f} ms vs {scalar_time * 1e3:.2f} ms "
             f"for {len(population)} mappings); the dense md pass is broken"
         )
+
+
+def test_population_rows_speedup_guard(platform):
+    """Scoring a GA generation from its analyzers' PE rows must be ≥2×
+    faster than from their ``assignment()`` dicts — the GA's fitness
+    step on graph2, K=24 individuals, default buffer model, ``auto``.
+
+    Cross-checks first that both forms get the same verdicts.
+    """
+    graph = random_graph_2()
+    rng = random.Random(5)
+    names = graph.task_names()
+    states = [
+        DeltaAnalyzer(
+            Mapping(
+                graph,
+                platform,
+                {name: rng.randrange(platform.n_pes) for name in names},
+            ),
+            backend="auto",
+        )
+        for _ in range(24)
+    ]
+    scorer = states[0]
+
+    def from_rows():
+        return scorer.score_assignments([st.pe_row() for st in states])
+
+    def from_dicts():
+        return scorer.score_assignments([st.assignment() for st in states])
+
+    assert from_rows() == from_dicts()
+    rows_time = _time_best_of(from_rows, repeats=30)
+    dicts_time = _time_best_of(from_dicts, repeats=30)
+    if os.environ.get("REPRO_BENCH_NO_TIMING_ASSERT"):
+        return  # noisy shared runners: correctness above still verified
+    speedup = dicts_time / rows_time
+    assert speedup >= 2.0, (
+        f"scoring a generation from PE rows is only {speedup:.1f}x faster "
+        f"than from assignment dicts ({rows_time * 1e3:.2f} ms vs "
+        f"{dicts_time * 1e3:.2f} ms for {len(states)} mappings of "
+        f"{len(names)} tasks); the row population path is broken"
+    )
 
 
 # ---------------------------------------------------------------------- #

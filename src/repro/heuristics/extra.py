@@ -21,10 +21,12 @@ phase 1 ranks every candidate by its value in a handful of dense matrix
 passes (scalar sweeps under ``python``), without the mapping-dependent
 buffer model; phase 2 scores exactly only the candidates that can win
 (a lookup in the default buffer model, where the dense verdicts are
-already exact).  The GA scores random immigrants and whole generations
-through the population-level ``score_assignments`` /
+already exact).  The GA works on integer PE rows (``pe_row()``, in task
+order): it scores random immigrants and whole generations by passing
+their rows to the population-level ``score_assignments`` /
 ``evaluate_assignments`` pass (one dense matrix pass on the fast engine,
-in every buffer model); its mutation needs every target's verdict, so
+in every buffer model), with no task-name dicts on the way; its
+mutation needs every target's verdict, so
 it stays on the batched ``evaluate_moves`` sweep (which, in the
 mapping-dependent models, derives the buffer model once for all targets
 hosting none of the task's neighbours).
@@ -290,7 +292,6 @@ def budgeted_descent(
     """
     if budget <= 0:
         return 0
-    names = state.graph.task_names()
     if pes is None:
         pes = list(range(state.platform.n_pes))
     moves = 0
@@ -299,9 +300,7 @@ def budgeted_descent(
         # shares the per-task precomputation across all target PEs and
         # applies the exact historical candidate ranking (strict
         # (value, period) improvement, earliest tie wins).
-        found = state.best_move(
-            names, pes, objective, period_cap=period_cap
-        )
+        found = state.best_move(None, pes, objective, period_cap=period_cap)
         if found is None:
             break
         state.apply_move(found[0], found[1])
@@ -523,8 +522,10 @@ def genetic_algorithm(
     held as a :class:`DeltaAnalyzer`, so the genetic operators are cheap:
 
     * **crossover** — clone one parent, inherit a random subset of the
-      PEs where the other parent differs, scored as one bulk
-      :meth:`~DeltaAnalyzer.score_changes`; if the blend is infeasible it
+      PEs where the other parent differs (found by walking both parents'
+      :meth:`~DeltaAnalyzer.pe_row` in task order, one ``rng.random()``
+      per differing task), applied as one bulk
+      :meth:`~DeltaAnalyzer.try_apply_changes`; if the blend is infeasible it
       is repaired by re-applying the inherited genes one by one, keeping
       only those that stay feasible (delta-scored repair);
     * **mutation** — move a random task to a delta-scored feasible PE
@@ -533,11 +534,14 @@ def genetic_algorithm(
       the ``elite`` best individuals cloned unchanged into the next
       generation.
 
-    Random-immigrant seeding and each generation's fitness ranking go
-    through the population-level ``score_assignments`` /
-    ``evaluate_assignments`` batch (one dense pass over K candidate
-    mappings on the fast engine, in every buffer model); a
-    per-generation cache keeps the tournament/sort lookups O(1).
+    Random immigrants are drawn as PE rows and each generation is
+    stacked from its individuals' ``pe_row()``; both go through the
+    population-level ``score_assignments`` / ``evaluate_assignments``
+    batch (one dense pass over K candidate rows on the fast engine, in
+    every buffer model), and analyzers are built only for the feasible
+    immigrants.  A per-generation cache keeps the tournament/sort
+    lookups O(1); an assignment dict is built only when the best-ever
+    individual improves.
 
     The population is seeded with the feasible members of {``start`` (or
     the critical-path mapping), GREEDYCPU, GREEDYMEM} plus random feasible
@@ -569,7 +573,7 @@ def genetic_algorithm(
 
     population: List[DeltaAnalyzer] = [DeltaAnalyzer(start, **flags)]
     # All population-batch scoring runs against this never-mutated state;
-    # the change sets always cover every task, so its own assignment is
+    # the candidates are full PE rows, so its own assignment is
     # irrelevant to the scores.
     scorer = population[0]
     for builder in (greedy_cpu, greedy_mem, critical_path_mapping):
@@ -589,15 +593,14 @@ def genetic_algorithm(
         # batch never exceeds the open slots, so the rng draw sequence
         # matches the historical one-at-a-time loop exactly.
         batch = min(pop_size - len(population), max_attempts - attempts)
-        draws = [
-            {name: rng.randrange(n_pes) for name in names}
-            for _ in range(batch)
-        ]
+        draws = [[rng.randrange(n_pes) for _ in names] for _ in range(batch)]
         attempts += batch
-        for assignment, verdict in zip(draws, scorer.score_assignments(draws)):
+        for row, verdict in zip(draws, scorer.score_assignments(draws)):
             if verdict.feasible:
                 population.append(
-                    DeltaAnalyzer(Mapping(graph, platform, assignment), **flags)
+                    DeltaAnalyzer(
+                        Mapping(graph, platform, dict(zip(names, row))), **flags
+                    )
                 )
 
     # Retired generations are recycled through in-place state copies
@@ -610,7 +613,7 @@ def genetic_algorithm(
     if obj.needs_app_periods:
         def batch_fitness(states: List[DeltaAnalyzer]) -> List[float]:
             scores = scorer.evaluate_assignments(
-                [st.assignment() for st in states], obj
+                [st.pe_row() for st in states], obj
             )
             return [score.value for score in scores]
 
@@ -619,9 +622,7 @@ def genetic_algorithm(
             return state.evaluate(obj).value if value is None else value
     else:  # period objective: skip the ObjectiveScore plumbing
         def batch_fitness(states: List[DeltaAnalyzer]) -> List[float]:
-            scores = scorer.score_assignments(
-                [st.assignment() for st in states]
-            )
+            scores = scorer.score_assignments([st.pe_row() for st in states])
             return [score.period for score in scores]
 
         def fitness(state: DeltaAnalyzer) -> float:
@@ -668,9 +669,9 @@ def genetic_algorithm(
     def crossover(a: DeltaAnalyzer, b: DeltaAnalyzer) -> DeltaAnalyzer:
         child = pool.clone(a)
         inherited = {
-            name: b.pe_of(name)
-            for name in names
-            if a.pe_of(name) != b.pe_of(name) and rng.random() < 0.5
+            names[t]: pe
+            for t, (own, pe) in enumerate(zip(a.pe_row(), b.pe_row()))
+            if own != pe and rng.random() < 0.5
         }
         if not inherited:
             return child

@@ -806,8 +806,7 @@ class OnlineScheduler:
             score = state.evaluate(self._obj)
             period, value, feasible = score.period, score.value, score.feasible
             misses = len(self._violated_targets(state))
-            per_app = getattr(state.snapshot(), "app_periods", None) or {}
-            app_periods = tuple(sorted(per_app.items()))
+            app_periods = tuple(sorted(state.app_periods().items()))
         latency = 0.0
         if self._t0 is not None:
             latency = perf_counter() - self._t0

@@ -696,6 +696,11 @@ class DeltaAnalyzer:
         pe_list = self._pe
         return {name: pe_list[t] for t, name in enumerate(self._cg.names)}
 
+    def pe_row(self) -> Tuple[int, ...]:
+        """The current PE of every task, in compiled task order — which
+        is ``graph.task_names()`` order — without building a dict."""
+        return tuple(self._pe)
+
     def tasks_on(self, pe: int) -> List[str]:
         """Names of the tasks currently assigned to ``pe``.
 
@@ -2372,28 +2377,69 @@ class DeltaAnalyzer:
                 P[k, tid] = pe
         return P
 
+    def _population_rows(self, assignments):
+        """A population as a validated (K, n) int64 PE matrix.
+
+        ``assignments`` holds either change sets (dicts, see
+        :meth:`_assignment_rows`) or full PE rows in compiled task order
+        (:meth:`pe_row`'s), as a sequence or a (K, n) integer array.
+        """
+        import numpy as np
+
+        n_tasks = len(self._pe)
+        if not isinstance(assignments, np.ndarray):
+            assignments = list(assignments)
+            if not assignments:
+                return np.empty((0, n_tasks), dtype=np.int64)
+            if hasattr(assignments[0], "items"):  # change sets
+                return self._assignment_rows(assignments)
+        try:
+            P = np.asarray(assignments)
+        except ValueError:
+            raise MappingError("PE rows differ in length") from None
+        if P.ndim != 2 or P.shape[1] != n_tasks:
+            raise MappingError(
+                f"PE rows must have {n_tasks} entries, one per task "
+                f"(got shape {P.shape})"
+            )
+        if P.dtype.kind not in "iu":
+            raise MappingError(f"PE rows must hold integers (got {P.dtype})")
+        n = self._n_pes
+        if len(P) and (P.min() < 0 or P.max() >= n):
+            k, tid = (int(i) for i in np.argwhere((P < 0) | (P >= n))[0])
+            raise MappingError(
+                f"task {self._cg.names[tid]!r} moved to invalid PE "
+                f"{int(P[k, tid])!r} (platform has {n} PEs)"
+            )
+        return P.astype(np.int64, copy=False)
+
     def _assignments(self, assignments, objective, as_objective):
-        assignments = [dict(ch) for ch in assignments]
+        import numpy as np
+
+        P = self._population_rows(assignments)
         cg = self._cg
         needs_apps = getattr(objective, "needs_app_periods", False)
         kernel = self._population_kernel(objective)
-        if (
-            kernel is None
-            or len(assignments) < self._VECTOR_MIN_TASKS
-            or (needs_apps and cg.app_index is None)
-        ):
-            return [
-                self._changes(ch, objective, as_objective) for ch in assignments
-            ]
         reg = _metrics.REGISTRY
         if reg is not None:
-            reg.inc("bulk_changes", len(assignments))
-        P = self._assignment_rows(assignments)
+            reg.inc("bulk_changes", len(P))
+        if (
+            kernel is None
+            or len(P) < self._VECTOR_MIN_TASKS
+            or (needs_apps and cg.app_index is None)
+        ):
+            # Per candidate: each row's change set is the tasks it moves
+            # off their current PE (what ``_to_moved`` keeps of a dict).
+            moved_rows = P != np.asarray(self._pe, dtype=np.int64)
+            out = []
+            for row, moved_mask in zip(P, moved_rows):
+                tids = np.flatnonzero(moved_mask)
+                moved = dict(zip(tids.tolist(), row[tids].tolist()))
+                out.append(self._verdict(moved, objective, as_objective))
+            return out
         period, nviol, app_mat = kernel.assignment_matrix(P, needs_apps)
         out = []
-        for k in range(len(assignments)):
-            w = float(period[k])
-            nv = int(nviol[k])
+        for k, (w, nv) in enumerate(zip(period.tolist(), nviol.tolist())):
             if not as_objective:
                 out.append(MoveScore(w, nv == 0, nv))
                 continue
@@ -2411,33 +2457,37 @@ class DeltaAnalyzer:
         return out
 
     @_traced("kernel:score_assignments")
-    def score_assignments(
-        self, assignments: Sequence[Dict[str, int]]
-    ) -> List[MoveScore]:
+    def score_assignments(self, assignments) -> List[MoveScore]:
         """Scores of K whole candidate mappings — one population pass.
 
-        Each element of ``assignments`` is a change set relative to the
-        current state (``{}`` scores the state itself); entry ``k``
-        has the verdict of ``score_changes(assignments[k])``.  On the
-        fast engine (see :meth:`_population_kernel`) the K candidates
-        are scored by a single from-scratch matrix pass — the GA's
-        generation-evaluation hot path — whose floats are
-        ``analyze()``'s for each candidate mapping.
+        Each element of ``assignments`` is either a change set relative
+        to the current state (``{}`` scores the state itself) or a full
+        PE row in compiled task order (``graph.task_names()`` order, as
+        :meth:`pe_row` returns); a population of rows may also come as
+        a (K, n) integer array.  Entry ``k`` has the verdict of
+        ``score_changes`` on the tasks candidate ``k`` moves off their
+        current PE, taken in task order.  On the fast engine (see
+        :meth:`_population_kernel`) the K candidates are scored by a
+        single from-scratch matrix pass — the GA's generation-evaluation
+        hot path — whose floats are ``analyze()``'s for each candidate
+        mapping.  Rows skip the task-name lookups entirely.  Invalid
+        input — an unknown task, a PE off the platform, a row of the
+        wrong length or with non-integer entries — raises
+        :class:`MappingError`.
         """
         return self._assignments(assignments, None, False)
 
     @_traced("kernel:evaluate_assignments")
     def evaluate_assignments(
-        self,
-        assignments: Sequence[Dict[str, int]],
-        objective=None,
+        self, assignments, objective=None
     ) -> List[ObjectiveScore]:
         """Objective scores of K whole candidate mappings, batched.
 
-        Entry ``k`` has the verdict of ``evaluate_changes(assignments[k],
-        objective)``; per-application periods (when the objective needs
-        them) come from the same population pass (see
-        :meth:`score_assignments`).
+        ``assignments`` takes change sets or PE rows as in
+        :meth:`score_assignments`; entry ``k`` has the verdict of
+        ``evaluate_changes`` on candidate ``k``'s moved tasks under
+        ``objective``.  Per-application periods (when the objective
+        needs them) come from the same population pass.
         """
         return self._assignments(assignments, objective, True)
 

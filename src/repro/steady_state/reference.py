@@ -120,6 +120,9 @@ class _ReferenceState:
     def snapshot(self) -> PeriodAnalysis:
         return self._analyze(self._assign)
 
+    def app_periods(self) -> Dict[str, float]:
+        return dict(self.snapshot().app_periods)
+
     def period(self) -> float:
         return self.snapshot().period
 

@@ -1,12 +1,17 @@
 """The genetic-algorithm strategy and metaheuristics under buffer modes.
 
 Covers the population search itself (feasibility, determinism, elitism
-floor), its registration in the experiment/CLI strategy registries and the
-parallel sweep path, plus the satellite requirement that
+floor, golden mappings on the paper graphs, generations scored on PE
+rows), its registration in the experiment/CLI strategy registries and
+the parallel sweep path, plus the satellite requirement that
 ``simulated_annealing`` / ``tabu_search`` stay feasible and no worse than
 their start under ``elide_local_comm=True`` now that the delta engine
 supports the mapping-dependent buffer models.
 """
+
+import os
+import sys
+from collections import Counter
 
 import pytest
 
@@ -15,6 +20,7 @@ from test_delta import integer_cost_graph
 from repro.cli import main_solve
 from repro.experiments import STRATEGIES, build_mapping, fig7_speedup
 from repro.experiments.common import SEEDED_STRATEGIES
+from repro.generator import random_graph_1, random_graph_3
 from repro.graph import DataEdge, StreamGraph, Task
 from repro.heuristics import (
     critical_path_mapping,
@@ -24,7 +30,8 @@ from repro.heuristics import (
 )
 from repro.platform import CellPlatform
 from repro.simulator import SimConfig
-from repro.steady_state import analyze
+from repro.steady_state import DeltaAnalyzer, analyze
+from repro.steady_state.backend import BACKEND_ENV_VAR
 
 
 def tight_graph() -> StreamGraph:
@@ -35,6 +42,82 @@ def tight_graph() -> StreamGraph:
         g.add_task(Task(f"w{i}", wppe=100.0, wspe=40.0))
         g.add_edge(DataEdge("src", f"w{i}", 9000.0))
     return g
+
+
+#: GA results on the paper graphs (QS22, ``generations=6``), one hex
+#: digit per task in ``graph.task_names()`` order: the PE the returned
+#: mapping puts it on.  "md" turns both mapping-dependent buffer flags
+#: on.  Every kernel selection must reproduce these exactly.
+GA_GOLDEN = {
+    ("graph1", "default", 0): "00010011235464201521070362142741012835436670431085",
+    ("graph1", "default", 1): "00010011235462201521000362142741012835436670431085",
+    ("graph1", "default", 2): "00010011235462201521000362142741012835436670431085",
+    ("graph1", "md", 0): "00066545108046740206052184705044331165005420007700",
+    ("graph1", "md", 1): "60063455718186600386055480321043030624065020586714",
+    ("graph1", "md", 2): "75170555332081306172805082611244060465182247340064",
+    ("graph3", "default", 0): "08100023143646057820807130500112230245430615214567",
+    ("graph3", "default", 1): "00100823145546057820807130000112230245480615214567",
+    ("graph3", "default", 2): "00100023143546057820807138500112230245430615214567",
+    ("graph3", "md", 0): "00100823143546057820807130500112030245430615214567",
+    ("graph3", "md", 1): "00100023143516057823807130500112230245470615214067",
+    ("graph3", "md", 2): "00100023141546057820807133500112230245430618214267",
+}
+GA_GOLDEN_GRAPHS = {"graph1": random_graph_1, "graph3": random_graph_3}
+
+
+@pytest.mark.parametrize("graph_name, mode, seed", sorted(GA_GOLDEN))
+def test_golden_mappings(graph_name, mode, seed, qs22):
+    graph = GA_GOLDEN_GRAPHS[graph_name]()
+    md = mode == "md"
+    result = genetic_algorithm(
+        graph,
+        qs22,
+        seed=seed,
+        generations=6,
+        elide_local_comm=md,
+        merge_same_pe_buffers=md,
+    ).to_dict()
+    row = "".join(format(result[name], "x") for name in graph.task_names())
+    assert row == GA_GOLDEN[graph_name, mode, seed]
+
+
+@pytest.mark.parametrize("md", (False, True), ids=("default", "md"))
+def test_generations_scored_on_rows(monkeypatch, qs22, md):
+    """The GA works on PE rows: it never converts dicts to a PE matrix,
+    reads single PEs only while mutating and builds an assignment dict
+    only when the best-ever individual improves."""
+    monkeypatch.setenv(BACKEND_ENV_VAR, "auto")
+    watched = ("_assignment_rows", "pe_of", "assignment")
+    callers = {name: Counter() for name in watched}
+
+    def counting(name):
+        original = getattr(DeltaAnalyzer, name)
+
+        def wrapper(self, *args, **kwargs):
+            code = sys._getframe(1).f_code
+            module = os.path.basename(code.co_filename)
+            callers[name][module, code.co_name] += 1
+            return original(self, *args, **kwargs)
+
+        return wrapper
+
+    for name in watched:
+        monkeypatch.setattr(DeltaAnalyzer, name, counting(name))
+    genetic_algorithm(
+        random_graph_1(),
+        qs22,
+        seed=1,
+        generations=4,
+        elide_local_comm=md,
+        merge_same_pe_buffers=md,
+    )
+    assert not callers["_assignment_rows"]
+    assert set(callers["pe_of"]) == {("extra.py", "mutate")}
+    # The md buffer model is re-derived from ``mapping()`` when an
+    # analyzer is built; the GA itself asks only in ``track``.
+    assert {
+        caller for caller in callers["assignment"] if caller[0] == "extra.py"
+    } == {("extra.py", "track")}
 
 
 class TestGeneticAlgorithm:
