@@ -24,30 +24,6 @@ from .reduction import MultiprocessorInstance
 __all__ = ["fptas_two_machines", "exact_two_machines_dp"]
 
 
-def _trim(points: List[Tuple[float, float]], delta: float) -> List[Tuple[float, float]]:
-    """Keep a δ-net of the Pareto frontier, sorted by load1."""
-    points.sort()
-    kept: List[Tuple[float, float]] = []
-    last_a = -1.0
-    best_b = float("inf")
-    for a, b in points:
-        if b >= best_b:  # dominated: same-or-larger a with larger b
-            continue
-        if (
-            kept
-            and last_a > 0
-            and a <= last_a * (1 + delta)
-            and b >= kept[-1][1] / (1 + delta)
-        ):
-            # Within the δ-tube of the last kept point on both coordinates.
-            best_b = min(best_b, b)
-            continue
-        kept.append((a, b))
-        last_a = a if a > 0 else last_a
-        best_b = b
-    return kept
-
-
 def fptas_two_machines(
     instance: MultiprocessorInstance, epsilon: float = 0.1
 ) -> Tuple[float, List[int]]:

@@ -604,8 +604,7 @@ def genetic_algorithm(
                 )
 
     # Retired generations are recycled through in-place state copies
-    # (one native call per clone under the cython backend) instead of
-    # allocating a fresh analyzer per offspring.
+    # instead of allocating a fresh analyzer per offspring.
     pool = ClonePool()
 
     fitness_cache: Dict[int, float] = {}

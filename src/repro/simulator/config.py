@@ -48,10 +48,6 @@ class SimConfig:
         stalls (double-buffering by default).
     trace_instances:
         Record per-instance completion times (needed for Fig. 6 curves).
-    trace_activity:
-        Record every task activation interval (pe, task, instance, start,
-        end) — memory-hungry on long streams, great for debugging and
-        Gantt rendering.
     max_events:
         Safety valve against runaway simulations.
     """
@@ -64,7 +60,6 @@ class SimConfig:
     enforce_eib: bool = False
     mem_write_window: int = 2
     trace_instances: bool = True
-    trace_activity: bool = False
     max_events: int = 200_000_000
 
     def __post_init__(self) -> None:

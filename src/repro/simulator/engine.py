@@ -304,11 +304,6 @@ class Simulator:
                 pe.activations += 1
                 pe.busy = True
                 finish = self.now + overhead + task.cost
-                if self.config.trace_activity:
-                    self.activity.append(
-                        (pe.index, task.name, task.next_instance,
-                         self.now + overhead, finish)
-                    )
                 self._push(finish, _TASK_DONE, task)
                 return
 
@@ -366,8 +361,6 @@ class Simulator:
         self._sink_done = [0] * n_instances
         self.completion_times: List[Optional[float]] = [None] * n_instances
         self.completed = 0
-        #: (pe, task, instance, start, end) activations, if traced.
-        self.activity: List[Tuple[int, str, int, float, float]] = []
 
         # Kick-off: pump initial memory reads and start source tasks.
         started = self._pump_edges()
@@ -426,7 +419,6 @@ class Simulator:
             pe_busy={p.name: p.busy_time for p in self.pes},
             pe_overhead={p.name: p.overhead_time for p in self.pes},
             pe_activations={p.name: p.activations for p in self.pes},
-            activity=self.activity,
         )
 
     def _check_final_state(self) -> None:

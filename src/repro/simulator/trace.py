@@ -32,11 +32,6 @@ class SimulationResult:
     pe_busy: Dict[str, float]
     pe_overhead: Dict[str, float]
     pe_activations: Dict[str, int]
-    #: (pe, task, instance, start, end) activations when
-    #: ``SimConfig.trace_activity`` is on; empty otherwise.
-    activity: List[Tuple[int, str, int, float, float]] = field(
-        default_factory=list
-    )
     _analysis: object = field(default=None, repr=False)
 
     # ------------------------------------------------------------------ #
@@ -130,39 +125,6 @@ class SimulationResult:
             name: (self.pe_busy[name] + self.pe_overhead.get(name, 0.0)) / span
             for name in self.pe_busy
         }
-
-    def activity_text(
-        self, t_start: float = 0.0, t_end: float = float("inf"), width: int = 72
-    ) -> str:
-        """ASCII Gantt of traced activations in ``[t_start, t_end]``.
-
-        Requires the run to have used ``SimConfig(trace_activity=True)``.
-        """
-        if not self.activity:
-            return "(no activity trace; run with SimConfig(trace_activity=True))"
-        window = [
-            a for a in self.activity if a[4] >= t_start and a[3] <= t_end
-        ]
-        if not window:
-            return "(no activity in the requested window)"
-        lo = min(a[3] for a in window)
-        hi = max(a[4] for a in window)
-        span = hi - lo or 1.0
-        per_pe: Dict[int, List] = {}
-        for pe, task, instance, start, end in window:
-            per_pe.setdefault(pe, []).append((task, instance, start, end))
-        platform = self.mapping.platform
-        lines = [f"activity {lo:.1f} .. {hi:.1f} µs"]
-        for pe in sorted(per_pe):
-            row = [" "] * width
-            for task, _inst, start, end in per_pe[pe]:
-                a = int((start - lo) / span * (width - 1))
-                b = max(a + 1, int((end - lo) / span * (width - 1)))
-                marker = task[-1] if task else "#"
-                for col in range(a, min(b, width)):
-                    row[col] = marker
-            lines.append(f"{platform.pe_name(pe):>6} |{''.join(row)}|")
-        return "\n".join(lines)
 
     def summary(self) -> str:
         """Human-readable digest of the run."""

@@ -1,12 +1,14 @@
 /* _ckernel.c — compiled kernel backend for DeltaAnalyzer.
  *
  * Native implementations of the paths the dense numpy kernels leave
- * scalar: per-candidate move scoring under the mapping-dependent buffer
- * models (including the incremental firstPeriod worklist), the
- * _apply/resync hot path, and the clone-pool state copy.  The module
- * keeps NO mirrored C state: every function operates directly on the
- * analyzer's own Python lists/dicts (single source of truth), so there
- * is nothing to invalidate or resynchronize.
+ * scalar, exported as exactly three functions that DeltaAnalyzer calls
+ * directly: eval_changes (per-candidate verdict and the _apply commit
+ * path), sweep (the mapping-dependent target sweep, including the
+ * incremental firstPeriod worklist) and rebuild (the from-scratch
+ * _rebuild accumulation behind resync).  The module keeps NO mirrored
+ * C state: every function operates directly on the analyzer's own
+ * Python lists/dicts (single source of truth), so there is nothing to
+ * invalidate or resynchronize.
  *
  * Exactness contract (same as backend_numpy): every float operation
  * mirrors the scalar kernel's accumulation order, so results are
@@ -1677,157 +1679,6 @@ fail:
 }
 
 /* ---------------------------------------------------------------- */
-/* copy_state(dst, src) -> None — clone-pool in-place state copy.    */
-
-static int
-copy_list(PyObject *az_dst, PyObject *az_src, PyObject *name)
-{
-    PyObject *dst = PyObject_GetAttr(az_dst, name);
-    PyObject *src = PyObject_GetAttr(az_src, name);
-    int rc = -1;
-    if (dst && src) {
-        if (dst == Py_None && src == Py_None)
-            rc = 0;
-        else
-            rc = PyList_SetSlice(dst, 0, PyList_GET_SIZE(dst), src);
-    }
-    Py_XDECREF(dst);
-    Py_XDECREF(src);
-    return rc;
-}
-
-static int
-copy_dict(PyObject *az_dst, PyObject *az_src, PyObject *name)
-{
-    PyObject *dst = PyObject_GetAttr(az_dst, name);
-    PyObject *src = PyObject_GetAttr(az_src, name);
-    int rc = -1;
-    if (dst && src) {
-        PyDict_Clear(dst);
-        rc = PyDict_Merge(dst, src, 1);
-    }
-    Py_XDECREF(dst);
-    Py_XDECREF(src);
-    return rc;
-}
-
-static PyObject *
-ck_copy_state(PyObject *self, PyObject *args)
-{
-    PyObject *dst, *src;
-    if (!PyArg_ParseTuple(args, "OO", &dst, &src))
-        return NULL;
-
-    if (copy_list(dst, src, S__pe) < 0 ||
-        copy_list(dst, src, S__compute) < 0 ||
-        copy_list(dst, src, S__in_bytes) < 0 ||
-        copy_list(dst, src, S__out_bytes) < 0 ||
-        copy_list(dst, src, S__peak) < 0 ||
-        copy_list(dst, src, S__fp) < 0 ||
-        copy_list(dst, src, S__esize) < 0)
-        return NULL;
-
-    /* _need is shared (read-only) in the default mode; private in the
-     * mapping-dependent modes */
-    {
-        PyObject *md = PyObject_GetAttr(dst, S__mapping_dependent);
-        if (md == NULL)
-            return NULL;
-        int is_md = PyObject_IsTrue(md);
-        Py_DECREF(md);
-        if (is_md < 0)
-            return NULL;
-        if (is_md && copy_list(dst, src, S__need) < 0)
-            return NULL;
-    }
-
-    if (copy_dict(dst, src, S__buffer) < 0 ||
-        copy_dict(dst, src, S__dma_in) < 0 ||
-        copy_dict(dst, src, S__dma_proxy) < 0 ||
-        copy_dict(dst, src, S__link_bytes) < 0 ||
-        copy_dict(dst, src, S__link_count) < 0 ||
-        copy_dict(dst, src, S__app_link_bytes) < 0 ||
-        copy_dict(dst, src, S__app_link_count) < 0)
-        return NULL;
-
-    /* members: per-PE set clear + refill */
-    {
-        PyObject *dm = PyObject_GetAttr(dst, S__members);
-        PyObject *sm = PyObject_GetAttr(src, S__members);
-        if (dm == NULL || sm == NULL) {
-            Py_XDECREF(dm);
-            Py_XDECREF(sm);
-            return NULL;
-        }
-        Py_ssize_t P = PyList_GET_SIZE(dm);
-        for (Py_ssize_t pe = 0; pe < P; pe++) {
-            PyObject *ds = GI(dm, pe), *ss = GI(sm, pe);
-            if (PySet_Clear(ds) < 0) {
-                Py_DECREF(dm);
-                Py_DECREF(sm);
-                return NULL;
-            }
-            PyObject *it = PyObject_GetIter(ss), *item;
-            if (it == NULL) {
-                Py_DECREF(dm);
-                Py_DECREF(sm);
-                return NULL;
-            }
-            while ((item = PyIter_Next(it)) != NULL) {
-                int rc = PySet_Add(ds, item);
-                Py_DECREF(item);
-                if (rc < 0)
-                    break;
-            }
-            Py_DECREF(it);
-            if (PyErr_Occurred()) {
-                Py_DECREF(dm);
-                Py_DECREF(sm);
-                return NULL;
-            }
-        }
-        Py_DECREF(dm);
-        Py_DECREF(sm);
-    }
-
-    /* per-app lists of lists */
-    PyObject *app_attrs[4] = {S__app_compute, S__app_in, S__app_out,
-                              S__app_peak};
-    for (int i = 0; i < 4; i++) {
-        PyObject *dl = PyObject_GetAttr(dst, app_attrs[i]);
-        PyObject *sl = PyObject_GetAttr(src, app_attrs[i]);
-        if (dl == NULL || sl == NULL) {
-            Py_XDECREF(dl);
-            Py_XDECREF(sl);
-            return NULL;
-        }
-        Py_ssize_t A = PyList_GET_SIZE(dl);
-        int rc = 0;
-        for (Py_ssize_t a = 0; a < A && rc == 0; a++) {
-            PyObject *drow = GI(dl, a);
-            rc = PyList_SetSlice(drow, 0, PyList_GET_SIZE(drow),
-                                 GI(sl, a));
-        }
-        Py_DECREF(dl);
-        Py_DECREF(sl);
-        if (rc < 0)
-            return NULL;
-    }
-
-    /* violation count */
-    {
-        PyObject *nv = PyObject_GetAttr(src, S__n_violations);
-        if (nv == NULL)
-            return NULL;
-        int rc = PyObject_SetAttr(dst, S__n_violations, nv);
-        Py_DECREF(nv);
-        if (rc < 0)
-            return NULL;
-    }
-    Py_RETURN_NONE;
-}
-
-/* ---------------------------------------------------------------- */
 
 static PyMethodDef ck_methods[] = {
     {"eval_changes", ck_eval_changes, METH_VARARGS,
@@ -1836,8 +1687,6 @@ static PyMethodDef ck_methods[] = {
      "sweep(analyzer, tid, pes) -> [(period, nviol), ...]"},
     {"rebuild", ck_rebuild, METH_VARARGS,
      "rebuild(analyzer) -> None (native _rebuild accumulation)"},
-    {"copy_state", ck_copy_state, METH_VARARGS,
-     "copy_state(dst, src) -> None (in-place clone-pool state copy)"},
     {NULL, NULL, 0, NULL},
 };
 

@@ -16,13 +16,13 @@ engines, picked once per analyzer:
     model it scores whole neighbourhoods and swap-pair sets in matrix
     passes; in every buffer model it ranks the two-phase selections and
     scores GA populations.  When the compiled extension
-    (:mod:`.backend_cython` over ``repro.steady_state._ckernel``)
-    imports, it also runs the scalar hot paths the dense kernels leave
-    to Python, at four chokepoints: the per-candidate verdict, the
-    mapping-dependent target sweep (including the incremental
-    ``firstPeriod`` worklist), the commit path and the mapping-dependent
-    population pass; plus the resync rebuild and in-place clone-state
-    copies.
+    (``repro.steady_state._ckernel``, built from ``_ckernel.c``)
+    imports, the analyzer calls it directly for the scalar hot paths
+    the dense kernels leave to Python, at four chokepoints: the
+    per-candidate verdict, the mapping-dependent target sweep
+    (including the incremental ``firstPeriod`` worklist), the commit
+    path and the mapping-dependent population pass; plus the resync
+    rebuild.
 
 A selection resolves to a label that names the engine that ran:
 ``python``, ``numpy`` (fast engine without the extension) or ``cython``

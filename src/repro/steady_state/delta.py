@@ -75,8 +75,11 @@ every model.  The compiled extension, when built, is reached at four
 chokepoints only: the per-candidate verdict (:meth:`_verdict`), the
 target sweep (:meth:`_target_sweep`), the commit path
 (:meth:`_commit`) and the population pass
-(:meth:`_population_kernel`); the resync rebuild and the clone-state
-copy run natively too.
+(:meth:`_population_kernel`), plus the from-scratch rebuild behind
+:meth:`resync`.  The analyzer holds the imported ``_ckernel`` module
+itself (``_ck``, ``None`` without the extension) and calls its three
+functions directly; the module keeps no state and no reference back,
+so analyzers are freed by reference counting alone.
 
 Two-phase neighbourhood selection
 ---------------------------------
@@ -184,6 +187,10 @@ from .throughput import (
 )
 
 __all__ = ["ClonePool", "DeltaAnalyzer", "MoveScore", "ObjectiveScore"]
+
+#: ``_ckernel.eval_changes`` mode bits: the C ``#define``s MODE_SCORE,
+#: MODE_APPLY and MODE_APPLY_IF_FEASIBLE.
+_CK_SCORE, _CK_APPLY, _CK_APPLY_IF_FEASIBLE = 1, 2, 4
 
 
 def _traced(name: str):
@@ -397,11 +404,16 @@ class DeltaAnalyzer:
         return self._dense_kernel
 
     def _make_ckernel(self):
+        """The compiled extension module under ``cython``, else ``None``.
+
+        The module is stateless (every call takes the analyzer), so
+        :meth:`clone` shares it and no analyzer is referenced back.
+        """
         if self.backend != "cython":
             return None
-        from .backend_cython import CKernel
+        from . import _ckernel
 
-        return CKernel(self)
+        return _ckernel
 
     # ------------------------------------------------------------------ #
     # State construction
@@ -445,7 +457,7 @@ class DeltaAnalyzer:
             # Native accumulation: identical task/edge/buffer passes in
             # the compiled extension (the buffer model above stays in
             # Python — it is the analyze() reference derivation).
-            self._ck.rebuild()
+            self._ck.rebuild(self)
             return
 
         app_index = cg.app_index
@@ -604,7 +616,7 @@ class DeltaAnalyzer:
         new._app_link_count = dict(self._app_link_count)
         new._state_version = 0
         new.backend = self.backend
-        new._ck = new._make_ckernel()
+        new._ck = self._ck
         new._dense_kernel = None
         return new
 
@@ -627,23 +639,13 @@ class DeltaAnalyzer:
         slice-assigned and every dict refilled into the existing
         containers, so a pooled analyzer reused across GA generations
         costs no new allocations beyond dict resizes.  Requires
-        :meth:`compatible_with`; under the ``cython`` backend the whole
-        copy is one native call.
+        :meth:`compatible_with`; every engine runs the same Python copy.
         """
         if not self.compatible_with(other):
             raise MappingError(
                 "copy_from requires clones of the same analyzer "
                 "(same compiled graph, platform, flags and backend)"
             )
-        self._copy_state(other)
-        self._state_version += 1
-        return self
-
-    def _copy_state(self, other: "DeltaAnalyzer") -> None:
-        """The in-place state copy behind :meth:`copy_from`."""
-        if self._ck is not None:
-            self._ck.copy_state(other)
-            return
         self._pe[:] = other._pe
         for mine, theirs in zip(self._members, other._members):
             mine.clear()
@@ -678,6 +680,8 @@ class DeltaAnalyzer:
             for mine_row, theirs_row in zip(mine_rows, theirs_rows):
                 mine_row[:] = theirs_row
         self._n_violations = other._n_violations
+        self._state_version += 1
+        return self
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -1221,7 +1225,7 @@ class DeltaAnalyzer:
         per-candidate chokepoint (native under the ``cython`` backend),
         without the metrics."""
         if moved and self._native(objective):
-            period, nviol = self._ck.score_ids(moved)
+            period, nviol, _ = self._ck.eval_changes(self, moved, _CK_SCORE)
             return self._score_of(period, nviol, None, objective, as_objective)
         deltas = self._deltas_ids(moved) if moved else None
         return self._judge(deltas, objective, as_objective)
@@ -1689,7 +1693,7 @@ class DeltaAnalyzer:
         if self._native(objective):
             return [
                 self._score_of(period, nviol, None, objective, as_objective)
-                for period, nviol in self._ck.sweep(tid, pes)
+                for period, nviol in self._ck.sweep(self, tid, pes)
             ]
         return [
             self._judge(deltas, objective, as_objective)
@@ -1813,9 +1817,11 @@ class DeltaAnalyzer:
             return self.score() if if_feasible else None
         if self._ck is not None:
             if not if_feasible:
-                self._ck.apply_ids(moved)
+                self._ck.eval_changes(self, moved, _CK_APPLY)
                 return None
-            period, nviol, _applied = self._ck.try_apply_ids(moved)
+            period, nviol, _applied = self._ck.eval_changes(
+                self, moved, _CK_SCORE | _CK_APPLY_IF_FEASIBLE
+            )
             return MoveScore(period, nviol == 0, nviol)
         deltas = self._deltas_ids(moved)
         score = self._judge(deltas, None, False) if if_feasible else None
@@ -2552,20 +2558,21 @@ class ClonePool:
     Population metaheuristics allocate one clone per offspring per
     generation and drop the whole previous generation on the floor; the
     pool instead recycles retired analyzers through
-    :meth:`DeltaAnalyzer.copy_from` (array slice-assignment, one native
-    call under the ``cython`` backend) so steady-state GA generations
-    allocate nothing but dict resizes.  Retired analyzers whose
-    structure no longer matches the parent (different compiled graph,
-    platform, flags or backend) are discarded on reuse.
+    :meth:`DeltaAnalyzer.copy_from` (in-place slice-assignment and dict
+    refills) so steady-state GA generations allocate nothing but dict
+    resizes.  Retired analyzers whose structure no longer matches the
+    parent (different compiled graph, platform, flags or backend) are
+    discarded on reuse.
     """
 
-    __slots__ = ("_free", "max_free")
+    __slots__ = ("_free",)
 
-    def __init__(self, max_free: int = 256) -> None:
+    #: Retired analyzers beyond this many are dropped (a workload
+    #: change can orphan a whole generation of incompatible clones).
+    MAX_FREE = 256
+
+    def __init__(self) -> None:
         self._free: List[DeltaAnalyzer] = []
-        #: Retired analyzers beyond this many are dropped (a workload
-        #: change can orphan a whole generation of incompatible clones).
-        self.max_free = max_free
 
     def __len__(self) -> int:
         return len(self._free)
@@ -2587,5 +2594,5 @@ class ClonePool:
     def retire(self, analyzer: DeltaAnalyzer) -> None:
         """Hand an analyzer back for reuse; its state may be clobbered
         by any later :meth:`clone` call."""
-        if len(self._free) < self.max_free:
+        if len(self._free) < self.MAX_FREE:
             self._free.append(analyzer)
