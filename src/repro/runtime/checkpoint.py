@@ -19,11 +19,14 @@ uninterrupted run.  Three properties make that hold:
 Checkpoints are single JSON files written atomically (temp file +
 fsync + ``os.replace``), so a crash mid-checkpoint leaves the previous
 checkpoint intact, never a half-written one.  The payload is serialized
-in memory with ``json.dumps`` before the temp file is opened — the C
-encoder; ``json.dump`` to a file object runs the pure-Python one — and
-a failed write or fsync removes the temp file again.  Every checkpoint
-carries the full record history, so its size (and its serialization
-time) grows with the run; the bytes are exactly those of
+in memory with the C ``json`` encoder before the temp file is opened,
+and a failed write or fsync removes the temp file again.  Every
+checkpoint carries the full record history, so its file size still
+grows with the run.  Its encoding cost does not: the scheduler keeps
+each committed record's compact JSON from the first checkpoint that
+needed it (:meth:`OnlineScheduler.snapshot_json`), so a checkpoint
+encodes the state without records plus only the records new since the
+last one — O(new records).  The bytes are exactly those of
 ``json.dump(payload, fh, separators=(",", ":"))``.
 """
 
@@ -74,13 +77,15 @@ def write_checkpoint(
             f"n_applied must be non-negative (got {n_applied!r})"
         )
     path = Path(path)
-    payload = {
-        "checkpoint": CHECKPOINT_SCHEMA,
-        "n_applied": int(n_applied),
-        "config": scheduler.config(),
-        "state": scheduler.snapshot_state(),
-    }
-    text = json.dumps(payload, separators=(",", ":"))
+    head = json.dumps(
+        {
+            "checkpoint": CHECKPOINT_SCHEMA,
+            "n_applied": int(n_applied),
+            "config": scheduler.config(),
+        },
+        separators=(",", ":"),
+    )
+    text = head[:-1] + ',"state":' + scheduler.snapshot_json() + "}"
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -285,7 +290,8 @@ class DurableScheduler:
         the checkpoint's cursor, and returns a wrapper positioned to
         continue the timeline exactly where the crash cut it off.
         """
-        config, entries, _ = EventJournal.repair(journal_path)
+        repaired = EventJournal.repair(journal_path)
+        config, entries, _ = repaired
         start = 0
         scheduler: Optional[OnlineScheduler] = None
         if checkpoint_path is not None and Path(checkpoint_path).exists():
@@ -322,7 +328,7 @@ class DurableScheduler:
                 raise CheckpointError(
                     f"journal replay failed at record {idx}: {exc}"
                 ) from exc
-        journal = EventJournal(journal_path, fsync=fsync, fresh=False)
+        journal = EventJournal(journal_path, fsync=fsync, repaired=repaired)
         return cls(
             scheduler,
             journal,

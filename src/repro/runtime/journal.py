@@ -132,6 +132,28 @@ def _scan(raw: bytes) -> Tuple[Optional[Dict], List[Entry], int]:
     return config, entries, good
 
 
+def _load(path: Path) -> Tuple[bytes, Optional[Dict], List[Entry], int]:
+    """Read and scan a journal once; :func:`_scan` plus the raw bytes."""
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise JournalError(
+            f"cannot read journal {str(path)!r}: {exc}"
+        ) from exc
+    if not raw:
+        raise JournalError(f"journal {str(path)!r} is empty (no header)")
+    return (raw, *_scan(raw))
+
+
+def _fsync_dir(directory: Path) -> None:
+    """fsync a directory, persisting the entries created in it."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 class EventJournal:
     """Append-only JSONL journal of committed runtime events.
 
@@ -149,9 +171,15 @@ class EventJournal:
         wins).
     fsync:
         ``True`` (default) fsyncs after the header and after every
-        appended record — the durability contract.  ``False`` skips the
+        appended record — the durability contract — and fsyncs the
+        parent directory once when the file is created, so the new
+        directory entry survives a power loss.  ``False`` skips every
         fsync (tests and throwaway sweeps) but still flushes, so the
         file is consistent on clean close.
+    repaired:
+        The :meth:`repair` result for ``path``, when the caller already
+        holds it: the journal opens for appending from it without
+        reading the file again (``fresh`` is then ignored).
     """
 
     def __init__(
@@ -160,19 +188,28 @@ class EventJournal:
         config: Optional[Dict] = None,
         fsync: bool = True,
         fresh: bool = True,
+        repaired: Optional[Tuple[Optional[Dict], List[Entry], bool]] = None,
     ) -> None:
         self.path = Path(path)
         self.fsync = bool(fsync)
         self.config = config
         self.next_idx = 0
-        if not fresh and self.path.exists() and self.path.stat().st_size:
-            stored, entries, _ = self.repair(self.path)
-            self.config = stored
+        if (
+            repaired is None
+            and not fresh
+            and self.path.exists()
+            and self.path.stat().st_size
+        ):
+            repaired = self.repair(self.path)
+        if repaired is not None:
+            self.config, entries, _ = repaired
             self.next_idx = entries[-1][0] + 1 if entries else 0
             self._fh = open(self.path, "a", encoding="utf-8")
         else:
             self._fh = open(self.path, "w", encoding="utf-8")
             self._write({"journal": JOURNAL_SCHEMA, "config": self.config})
+            if self.fsync:
+                _fsync_dir(self.path.parent)
 
     # ------------------------------------------------------------------ #
     # Writing
@@ -221,16 +258,7 @@ class EventJournal:
         (ignored — its record never committed), while corruption
         anywhere else raises :class:`~repro.errors.JournalError`.
         """
-        path = Path(path)
-        try:
-            raw = path.read_bytes()
-        except OSError as exc:
-            raise JournalError(
-                f"cannot read journal {str(path)!r}: {exc}"
-            ) from exc
-        if not raw:
-            raise JournalError(f"journal {str(path)!r} is empty (no header)")
-        config, entries, good = _scan(raw)
+        raw, config, entries, good = _load(Path(path))
         return config, entries, good < len(raw)
 
     @staticmethod
@@ -241,18 +269,18 @@ class EventJournal:
 
         Returns ``(config, entries, truncated)``; after it returns the
         file on disk holds exactly ``entries`` and ends at a record
-        boundary, so appending can resume safely.
+        boundary, so appending can resume safely.  The file is read and
+        scanned once.
         """
         path = Path(path)
-        config, entries, torn = EventJournal.read(path)
-        raw = path.read_bytes()
+        raw, config, entries, good = _load(path)
+        torn = good < len(raw)
         if torn:
-            _, _, good = _scan(raw)
             with open(path, "r+b") as fh:
                 fh.truncate(good)
                 fh.flush()
                 os.fsync(fh.fileno())
-        elif raw and not raw.endswith(b"\n"):
+        elif not raw.endswith(b"\n"):
             # Complete final record that lost only its terminator: put
             # the newline back so appends land on a fresh line.
             with open(path, "ab") as fh:

@@ -79,6 +79,7 @@ names it in reports and ``/stats``.
 
 from __future__ import annotations
 
+import json
 import logging
 import math
 from dataclasses import asdict, dataclass, field, replace
@@ -116,6 +117,10 @@ __all__ = ["OnlineScheduler", "SHED_POLICIES", "STATE_SCHEMA"]
 
 #: Schema version of :meth:`OnlineScheduler.snapshot_state` payloads.
 STATE_SCHEMA = 1
+
+#: The compact encoder behind every snapshot (``json.dumps`` with these
+#: separators builds the same encoder per call).
+_encode = json.JSONEncoder(separators=(",", ":")).encode
 
 _LOG = get_logger("runtime")
 
@@ -293,6 +298,9 @@ class OnlineScheduler:
         self._state: Optional[DeltaAnalyzer] = None
         self._obj = None
         self._records: List[EventRecord] = []
+        #: Compact JSON of ``_records[:len(_record_json)]``, filled by
+        #: :meth:`snapshot_json` (records are frozen and only appended).
+        self._record_json: List[str] = []
         self._time = 0.0
         self._pending: List[_PendingRetry] = []
         self._retry_seq = 0
@@ -411,7 +419,32 @@ class OnlineScheduler:
         so :meth:`restore_state` on the parsed payload reproduces the
         committed state bit for bit — the checkpoint/recovery
         equivalence the chaos harness asserts.
+
+        The records make the payload grow with the history; checkpoints
+        encode it through :meth:`snapshot_json`, which serializes each
+        record once, so their encoding cost is O(new records).
         """
+        return {
+            **self._state_head(),
+            "records": [r.to_dict() for r in self._records],
+        }
+
+    def snapshot_json(self) -> str:
+        """``json.dumps(self.snapshot_state(), separators=(",", ":"))``.
+
+        Each record is encoded the first time a snapshot needs it and
+        its text is spliced into every later one, so the cost is the
+        state without records plus the records new since the last call.
+        """
+        cache = self._record_json
+        cache.extend(
+            _encode(r.to_dict()) for r in self._records[len(cache):]
+        )
+        head = _encode(self._state_head())
+        return head[:-1] + ',"records":[' + ",".join(cache) + "]}"
+
+    def _state_head(self) -> Dict:
+        """:meth:`snapshot_state` without the record history."""
         perturbation = None
         if self._perturbation is not None:
             perturbation = {
@@ -456,7 +489,6 @@ class OnlineScheduler:
                 for p in self._pending
             ],
             "perturbation": perturbation,
-            "records": [r.to_dict() for r in self._records],
         }
 
     def restore_state(self, payload: Dict) -> None:
@@ -557,6 +589,7 @@ class OnlineScheduler:
         self._retry_seq = retry_seq
         self._pending = pending
         self._records = records
+        self._record_json = []
         self._time = time
         self._perturbation = perturbation
         if perturbation is None:

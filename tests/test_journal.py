@@ -11,8 +11,13 @@ files (the randomized kill-anywhere sweep lives in ``test_chaos.py``):
   payload under ``tests/data/``;
 * a corrupt *middle* record is data loss and raises
   :class:`~repro.errors.JournalError` (only the tail may be torn);
+* ``snapshot_json`` is exactly ``json.dumps(snapshot_state())`` while
+  encoding each record once per scheduler;
+* a fresh journal fsyncs its directory once, and recovery reads and
+  scans the journal once;
 * ``DurableScheduler.recover`` replays to the bit-identical report in
-  all four buffer modes and across kernel backends;
+  all four buffer modes and across kernel backends, and the recovered
+  scheduler writes the uninterrupted run's checkpoint bytes;
 * a crash inside a cost-perturbation window recovers the scaled
   platform and graphs exactly, and still restores the originals at
   ``CostRestore``.
@@ -21,7 +26,9 @@ files (the randomized kill-anywhere sweep lives in ``test_chaos.py``):
 import dataclasses
 import io
 import json
+import os
 import shutil
+import stat
 from pathlib import Path
 
 import pytest
@@ -45,6 +52,7 @@ from repro.runtime import (
     write_checkpoint,
 )
 from repro.runtime import checkpoint as checkpoint_mod
+from repro.runtime import journal as journal_mod
 from repro.runtime import scheduler as scheduler_mod
 from repro.steady_state.reference import _ReferenceState
 from test_chaos import ALL_MODES
@@ -248,6 +256,37 @@ class TestEventJournal:
         with pytest.raises(JournalError):
             journal.append(scenario(platform, n=2)[0])
 
+    def test_fsync_covers_the_directory_entry_once(
+        self, tmp_path, platform, monkeypatch
+    ):
+        """A fresh journal fsyncs its parent directory once, at creation
+        (a new directory entry is durable only then); appends and
+        ``fsync=False`` journals never sync the directory."""
+        synced = []
+        real_fsync = os.fsync
+
+        def spy(fd):
+            st = os.fstat(fd)
+            synced.append(st.st_ino if stat.S_ISDIR(st.st_mode) else None)
+            real_fsync(fd)
+
+        monkeypatch.setattr(journal_mod.os, "fsync", spy)
+        events = scenario(platform, n=4)
+        with EventJournal(tmp_path / "j.jsonl") as journal:
+            assert synced == [None, tmp_path.stat().st_ino]
+            for event in events:
+                journal.append(event)
+        assert synced[2:] == [None] * len(events)
+        del synced[:]
+        with EventJournal(tmp_path / "j.jsonl", fresh=False) as journal:
+            journal.append(events[0])
+        assert synced == [None]
+        del synced[:]
+        with EventJournal(tmp_path / "k.jsonl", fsync=False) as journal:
+            for event in events:
+                journal.append(event)
+        assert synced == []
+
     def test_regression_payload_recovers(self, tmp_path):
         """The checked-in torn journal (crash mid-record-3) recovers
         cleanly: two committed events, torn tail truncated, replay
@@ -306,6 +345,37 @@ class TestCheckpoint:
             read_checkpoint(path)
 
 
+def busy_timeline(platform):
+    """A churn timeline with bursts and one cost-perturbation window."""
+    events = ScenarioGenerator(
+        platform, seed=0, load=6.0, n_failures=1
+    ).generate(30)
+    return FaultInjector(platform, seed=0).inject(
+        events, n_bursts=1, n_perturbations=1
+    )
+
+
+def busy_fresh(platform):
+    return OnlineScheduler(
+        platform, migration_budget=2, retry_limit=2, retry_backoff=4.0
+    )
+
+
+def busy_scheduler(platform):
+    """A scheduler inside a perturbation window, with deferred
+    admissions queued and rejected, shed and admitted arrivals in its
+    history."""
+    sched = busy_fresh(platform)
+    for event in busy_timeline(platform)[:16]:
+        sched.process(event)
+    assert sched._pending and sched._perturbation is not None
+    return sched
+
+
+def compact(payload):
+    return json.dumps(payload, separators=(",", ":"))
+
+
 class TestCheckpointBytes:
     """Checkpoint files are exactly ``json.dump(payload, fh,
     separators=(",", ":"))`` of the snapshot, whichever encoder writes
@@ -313,22 +383,7 @@ class TestCheckpointBytes:
 
     @pytest.fixture(scope="class")
     def busy(self, platform):
-        """A scheduler inside a perturbation window, with deferred
-        admissions queued and rejected, shed and admitted arrivals in
-        its history."""
-        events = ScenarioGenerator(
-            platform, seed=0, load=6.0, n_failures=1
-        ).generate(30)
-        events = FaultInjector(platform, seed=0).inject(
-            events, n_bursts=1, n_perturbations=1
-        )
-        sched = OnlineScheduler(
-            platform, migration_budget=2, retry_limit=2, retry_backoff=4.0
-        )
-        for event in events[:16]:
-            sched.process(event)
-        assert sched._pending and sched._perturbation is not None
-        return sched
+        return busy_scheduler(platform)
 
     @staticmethod
     def asdict_payload(record):
@@ -386,16 +441,28 @@ class TestCheckpointBytes:
         )
         assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
-    def test_unserializable_payload_leaves_previous(self, tmp_path, busy, monkeypatch):
+    def test_unserializable_payload_leaves_previous(
+        self, tmp_path, busy, monkeypatch
+    ):
+        """An unserializable value in the state, or in a record not yet
+        encoded, reaches the encoder ``write_checkpoint`` uses and
+        raises before the file is touched."""
         path = tmp_path / "c.json"
         write_checkpoint(busy, path, n_applied=16, fsync=False)
         before = path.read_bytes()
-        state = busy.snapshot_state()
-        monkeypatch.setattr(busy, "snapshot_state", lambda: {**state, "bad": object()})
-        with pytest.raises(TypeError):
-            write_checkpoint(busy, path, n_applied=17, fsync=False)
-        assert path.read_bytes() == before
-        assert not list(tmp_path.glob("*.tmp"))
+        bad = dataclasses.replace(
+            busy._records[-1], seq=len(busy._records), reason=object()
+        )
+        for attr, value in (
+            ("_degraded", object()),
+            ("_records", [*busy._records, bad]),
+        ):
+            with monkeypatch.context() as patch:
+                patch.setattr(busy, attr, value)
+                with pytest.raises(TypeError, match="not JSON serializable"):
+                    write_checkpoint(busy, path, n_applied=17, fsync=False)
+            assert path.read_bytes() == before
+            assert not list(tmp_path.glob("*.tmp"))
 
     def test_failed_fsync_removes_temp_file(self, tmp_path, busy, monkeypatch):
         path = tmp_path / "c.json"
@@ -410,6 +477,77 @@ class TestCheckpointBytes:
             write_checkpoint(busy, path, n_applied=17, fsync=True)
         assert path.read_bytes() == before
         assert not list(tmp_path.glob("*.tmp"))
+
+
+class TestSnapshotJson:
+    """``snapshot_json`` splices each record's cached text into the
+    snapshot: always exactly ``json.dumps(snapshot_state())``, and each
+    record is encoded once per scheduler."""
+
+    def test_matches_snapshot_state_on_busy(self, platform):
+        busy = busy_scheduler(platform)
+        assert any(r.accepted is False for r in busy._records)
+        assert any(r.dropped for r in busy._records)
+        assert busy.snapshot_json() == compact(busy.snapshot_state())
+        assert busy.snapshot_json() == compact(busy.snapshot_state())
+
+    def test_matches_across_consecutive_snapshots(self, platform):
+        sched = fresh_scheduler(platform)
+        assert sched.snapshot_json() == compact(sched.snapshot_state())
+        for event in busy_timeline(platform):
+            sched.process(event)
+            assert sched.snapshot_json() == compact(sched.snapshot_state())
+
+    def test_matches_after_restore(self, platform):
+        events = busy_timeline(platform)
+        sched = busy_scheduler(platform)
+        sched.snapshot_json()
+        clone = scheduler_from_config(sched.config())
+        for event in scenario(platform, seed=9, n=6):
+            clone.process(event)
+        clone.snapshot_json()  # a stale cache the restore must drop
+        clone.restore_state(json.loads(sched.snapshot_json()))
+        assert clone.snapshot_json() == sched.snapshot_json()
+        for event in events[16:]:
+            clone.process(event)
+            assert clone.snapshot_json() == compact(clone.snapshot_state())
+
+    def test_matches_with_metrics(self, platform, monkeypatch):
+        monkeypatch.setattr(_metrics, "REGISTRY", _metrics.MetricsRegistry())
+        sched = busy_scheduler(platform)
+        assert any(r.decision_latency > 0 for r in sched._records)
+        assert sched.snapshot_json() == compact(sched.snapshot_state())
+
+    def test_each_record_is_encoded_once(self, tmp_path, platform, monkeypatch):
+        calls = []
+        to_dict = EventRecord.to_dict
+
+        def counted(record):
+            calls.append(record.seq)
+            return to_dict(record)
+
+        monkeypatch.setattr(EventRecord, "to_dict", counted)
+        events = busy_timeline(platform)
+        sched = fresh_scheduler(platform)
+        path = tmp_path / "c.json"
+        for n, event in enumerate(events[:20], 1):
+            sched.process(event)
+            if n % 4 == 0:
+                write_checkpoint(sched, path, n_applied=n, fsync=False)
+        assert calls == list(range(len(sched._records)))
+        # A restored scheduler encodes the restored records once, at its
+        # next checkpoint, and afterwards only the records new since.
+        clone = scheduler_from_config(sched.config())
+        clone.restore_state(read_checkpoint(path)["state"])
+        del calls[:]
+        write_checkpoint(clone, path, n_applied=20, fsync=False)
+        assert calls == list(range(len(clone._records)))
+        del calls[:]
+        before = len(clone._records)
+        for n, event in enumerate(events[20:], 21):
+            clone.process(event)
+            write_checkpoint(clone, path, n_applied=n, fsync=False)
+        assert calls == list(range(before, len(clone._records)))
 
 
 # ------------------------------------------------------------------ #
@@ -446,6 +584,91 @@ class TestRecovery:
             for event in events[7:]:
                 recovered.process(event)
             assert_reports_equal(recovered.scheduler.report(), baseline)
+
+    def test_recovered_checkpoint_bytes_match_uninterrupted(
+        self, tmp_path, platform
+    ):
+        """Cut anywhere — inside a perturbation window with retries
+        queued too — and the recovered scheduler writes the checkpoint
+        the uninterrupted run writes at the same cursor, byte for byte."""
+
+        def comparable(raw):
+            # Instrumented runs record wall-clock decision latencies.
+            if _metrics.REGISTRY is None:
+                return raw
+            payload = json.loads(raw)
+            for record in payload["state"]["records"]:
+                record["decision_latency"] = 0.0
+            return payload
+
+        events = busy_timeline(platform)
+        sched = busy_fresh(platform)
+        expected = {}
+        window = []
+        for n, event in enumerate(events, 1):
+            sched.process(event)
+            path = write_checkpoint(
+                sched, tmp_path / "u.json", n_applied=n, fsync=False
+            )
+            expected[n] = path.read_bytes()
+            if sched._perturbation is not None and sched._pending:
+                window.append(n)
+        assert window
+        for cut in sorted({7, window[0], window[-1], len(events)}):
+            stem = tmp_path / f"cut{cut}"
+            durable = DurableScheduler(
+                busy_fresh(platform),
+                stem.with_suffix(".jsonl"),
+                checkpoint_path=stem.with_suffix(".json"),
+                checkpoint_every=5,
+                fsync=False,
+            )
+            for event in events[:cut]:
+                durable.process(event)
+            durable.journal.close()  # crash: no final checkpoint
+            recovered = DurableScheduler.recover(
+                stem.with_suffix(".jsonl"),
+                checkpoint_path=stem.with_suffix(".json"),
+                fsync=False,
+            )
+            assert recovered.n_applied == cut
+            path = write_checkpoint(
+                recovered.scheduler,
+                stem.with_suffix(".recovered.json"),
+                n_applied=recovered.n_applied,
+                fsync=False,
+            )
+            recovered.journal.close()
+            assert comparable(path.read_bytes()) == comparable(expected[cut])
+
+    @pytest.mark.parametrize("torn", [False, True], ids=["clean", "torn"])
+    def test_recover_reads_and_scans_the_journal_once(
+        self, tmp_path, platform, monkeypatch, torn
+    ):
+        events = scenario(platform, n=6)
+        path = tmp_path / "run.jsonl"
+        durable = DurableScheduler(fresh_scheduler(platform), path, fsync=False)
+        for event in events:
+            durable.process(event)
+        durable.journal.close()
+        if torn:
+            with open(path, "ab") as fh:
+                fh.write(b'{"idx": 6, "event": {"type": "arr')
+        scans, reads = [], []
+        real_scan, real_read = journal_mod._scan, Path.read_bytes
+        monkeypatch.setattr(
+            journal_mod, "_scan", lambda raw: scans.append(1) or real_scan(raw)
+        )
+        monkeypatch.setattr(
+            Path, "read_bytes", lambda p: reads.append(p) or real_read(p)
+        )
+        with DurableScheduler.recover(path, fsync=False) as recovered:
+            assert recovered.n_applied == len(events)
+            assert recovered.journal.next_idx == len(events)
+        assert len(scans) == 1
+        assert reads == [path]
+        _, entries, torn_after = EventJournal.read(path)
+        assert not torn_after and len(entries) == len(events)
 
     def test_recover_without_checkpoint_uses_config_echo(
         self, tmp_path, platform
